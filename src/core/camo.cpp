@@ -245,100 +245,6 @@ opc::EngineResult CamoEngine::infer(const geo::SegmentedLayout& layout, litho::L
     return res;
 }
 
-std::vector<opc::EngineResult> CamoEngine::infer_batch(
-    std::span<const geo::SegmentedLayout> layouts, std::span<litho::LithoSim> sims,
-    const opc::OpcOptions& opt, std::span<const std::uint64_t> seeds) const {
-    if (sims.size() != layouts.size()) {
-        throw std::invalid_argument("CamoEngine::infer_batch: one simulator per clip required");
-    }
-    if (!seeds.empty() && seeds.size() != layouts.size()) {
-        throw std::invalid_argument("CamoEngine::infer_batch: seeds must be empty or per-clip");
-    }
-
-    Timer timer;
-    const std::size_t count = layouts.size();
-    std::vector<opc::EngineResult> results(count);
-
-    // Per-clip rollout state, advanced one action wave at a time.
-    struct ClipState {
-        opc::WindowObjective objective;
-        Graph graph;
-        std::vector<int> offsets;
-        litho::SimMetrics m;
-        std::optional<Rng> rng;
-        int features = 0;
-        int points = 0;
-        bool active = false;
-        std::vector<nn::Tensor> feats;  ///< current wave's squish features
-    };
-    std::vector<ClipState> states;
-    states.reserve(count);
-    for (std::size_t c = 0; c < count; ++c) {
-        const geo::SegmentedLayout& layout = layouts[c];
-        litho::LithoSim& sim = sims[c];
-        opc::EngineResult& res = results[c];
-        states.push_back(ClipState{
-            .objective = opc::WindowObjective(opt, sim.config(), cfg_.reward),
-            .graph = build_segment_graph(layout, cfg_.graph_threshold_nm),
-            .offsets = std::vector<int>(static_cast<std::size_t>(layout.num_segments()),
-                                        opt.initial_bias_nm),
-        });
-        ClipState& st = states.back();
-        if (!seeds.empty()) st.rng.emplace(seeds[c]);
-        st.m = st.objective.prime(sim, layout, st.offsets, &res.final_window);
-        res.epe_history.push_back(st.m.sum_abs_epe);
-        res.pvb_history.push_back(st.m.pvband_nm2);
-        st.features = static_cast<int>(layout.targets().size());
-        st.points = static_cast<int>(st.m.epe.size());
-        st.active = layout.num_segments() > 0;
-    }
-
-    for (int it = 0; it < opt.max_iterations; ++it) {
-        // Collect the wave: every still-running clip encodes its state and
-        // queues one batched-policy request (clip order, deterministic).
-        std::vector<PolicyNetwork::ClipRequest> requests;
-        std::vector<std::size_t> wave;  // request -> clip index
-        for (std::size_t c = 0; c < count; ++c) {
-            ClipState& st = states[c];
-            if (!st.active) continue;
-            if (opc::should_exit_early(st.m.sum_abs_epe, st.features, st.points, opt)) {
-                st.active = false;
-                continue;
-            }
-            st.feats = encode_state(layouts[c], st.offsets);
-            requests.push_back({&st.feats, &st.graph});
-            wave.push_back(c);
-        }
-        if (requests.empty()) break;
-
-        const std::vector<nn::Tensor> logits = policy_.infer_batch(requests);
-
-        for (std::size_t r = 0; r < wave.size(); ++r) {
-            const std::size_t c = wave[r];
-            ClipState& st = states[c];
-            opc::EngineResult& res = results[c];
-            const auto actions =
-                pick_actions(logits[r], st.m.epe_segment, cfg_.modulator,
-                             st.rng ? &*st.rng : nullptr);
-            const auto dirty = apply_actions(st.offsets, actions, opt.max_total_offset_nm);
-            st.m = st.objective.evaluate(sims[c], layouts[c], st.offsets, dirty,
-                                         &res.final_window);
-            res.epe_history.push_back(st.m.sum_abs_epe);
-            res.pvb_history.push_back(st.m.pvband_nm2);
-            ++res.iterations;
-            st.feats.clear();
-        }
-    }
-
-    const double per_clip_s = count > 0 ? timer.seconds() / static_cast<double>(count) : 0.0;
-    for (std::size_t c = 0; c < count; ++c) {
-        results[c].final_offsets = std::move(states[c].offsets);
-        results[c].final_metrics = std::move(states[c].m);
-        results[c].runtime_s = per_clip_s;
-    }
-    return results;
-}
-
 Phase1Dataset CamoEngine::collect_teacher_data(const std::vector<geo::SegmentedLayout>& clips,
                                                litho::LithoSim& sim, const opc::OpcOptions& opt,
                                                rl::TrajStoreWriter* store) {

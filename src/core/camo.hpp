@@ -157,22 +157,6 @@ public:
                                           litho::LithoSim& sim, const opc::OpcOptions& opt,
                                           Rng* rng = nullptr) const;
 
-    /// Batched inference: roll all clips forward in lockstep waves — at each
-    /// step, every clip still running contributes its node set to ONE
-    /// batched policy evaluation (PolicyNetwork::infer_batch) instead of N
-    /// single-clip forwards. Each clip needs its own simulator (`sims`, one
-    /// per layout; the incremental cache is per-instance). `seeds` selects
-    /// the action rule: empty = modulated argmax (matching infer() with
-    /// rng == nullptr); otherwise seeds[i] seeds clip i's private Rng and
-    /// actions are sampled (matching infer() with Rng(seeds[i])). Per-clip
-    /// results — offsets, metrics, histories, iteration counts — are
-    /// identical to running infer() per clip on the same backend; only
-    /// runtime_s differs (the batch wall time is split evenly, as lockstep
-    /// waves have no meaningful per-clip attribution).
-    [[nodiscard]] std::vector<opc::EngineResult> infer_batch(
-        std::span<const geo::SegmentedLayout> layouts, std::span<litho::LithoSim> sims,
-        const opc::OpcOptions& opt, std::span<const std::uint64_t> seeds = {}) const;
-
     /// Two-phase training on a set of fragmented clips. Runs on the
     /// data-parallel training runtime (cfg.train_workers): teacher
     /// trajectories are collected in parallel over (clip, bias) jobs, and

@@ -74,7 +74,11 @@ int Tile::owned_count() const {
 }
 
 std::string Tile::name() const {
-    return "t" + std::to_string(tx) + "x" + std::to_string(ty);
+    std::string name = "t";  // appended: `"t" + std::to_string(..)` trips GCC 12 -Wrestrict
+    name += std::to_string(tx);
+    name += 'x';
+    name += std::to_string(ty);
+    return name;
 }
 
 TileSharder::TileSharder(std::vector<geo::Polygon> chip, ShardOptions opt,

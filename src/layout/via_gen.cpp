@@ -46,12 +46,20 @@ std::vector<geo::Polygon> generate_via_clip(int via_count, Rng& rng, const ViaGe
     return out;
 }
 
+std::string clip_name(const char* prefix, int index) {
+    // Appended rather than `prefix + std::to_string(index)`: GCC 12 reports
+    // a false -Wrestrict overlap for that form.
+    std::string name = prefix;
+    name += std::to_string(index);
+    return name;
+}
+
 std::vector<Clip> via_training_set(std::uint64_t seed, const ViaGenOptions& opt) {
     std::vector<Clip> clips;
     int idx = 1;
     for (int count : kTrainViaCounts) {
         Rng rng(seed + static_cast<std::uint64_t>(idx) * 7919ULL);
-        clips.push_back({"T" + std::to_string(idx), generate_via_clip(count, rng, opt),
+        clips.push_back({clip_name("T", idx), generate_via_clip(count, rng, opt),
                          opt.clip_nm});
         ++idx;
     }
@@ -64,7 +72,7 @@ std::vector<Clip> via_test_set(std::uint64_t seed, const ViaGenOptions& opt) {
     for (int count : kTestViaCounts) {
         // Offset the stream so test clips never repeat training clips.
         Rng rng(seed + 1000003ULL + static_cast<std::uint64_t>(idx) * 104729ULL);
-        clips.push_back({"V" + std::to_string(idx), generate_via_clip(count, rng, opt),
+        clips.push_back({clip_name("V", idx), generate_via_clip(count, rng, opt),
                          opt.clip_nm});
         ++idx;
     }
@@ -78,7 +86,7 @@ std::vector<Clip> via_batch_set(std::uint64_t seed, int count, const ViaGenOptio
         const std::uint64_t clip_seed = derive_seed(seed, static_cast<std::uint64_t>(i));
         Rng rng(clip_seed);
         const int vias = 2 + static_cast<int>(clip_seed % 5);  // 2..6, seed-determined
-        clips.push_back({"B" + std::to_string(i + 1), generate_via_clip(vias, rng, opt),
+        clips.push_back({clip_name("B", i + 1), generate_via_clip(vias, rng, opt),
                          opt.clip_nm});
     }
     return clips;

@@ -31,6 +31,10 @@ struct Clip {
     int clip_nm = 2000;
 };
 
+/// Name of the `index`-th clip of a generated set: prefix + decimal index
+/// ("T3", "MT12").
+std::string clip_name(const char* prefix, int index);
+
 /// Random clip with exactly `via_count` vias satisfying the spacing rule.
 std::vector<geo::Polygon> generate_via_clip(int via_count, Rng& rng,
                                             const ViaGenOptions& opt = {});

@@ -59,19 +59,25 @@ std::string render_metrics_json() {
         switch (m.type) {
             case MetricType::kCounter: {
                 if (!counters.empty()) counters += ",\n    ";
-                counters += "\"" + json_escape(m.name) + "\": ";
+                counters += '"';
+                counters += json_escape(m.name);
+                counters += "\": ";
                 append_number(counters, m.counter);
                 break;
             }
             case MetricType::kGauge: {
                 if (!gauges.empty()) gauges += ",\n    ";
-                gauges += "\"" + json_escape(m.name) + "\": ";
+                gauges += '"';
+                gauges += json_escape(m.name);
+                gauges += "\": ";
                 append_number(gauges, m.gauge);
                 break;
             }
             case MetricType::kHistogram: {
                 if (!histograms.empty()) histograms += ",\n    ";
-                histograms += "\"" + json_escape(m.name) + "\": {\"count\": ";
+                histograms += '"';
+                histograms += json_escape(m.name);
+                histograms += "\": {\"count\": ";
                 append_number(histograms, m.hist_count);
                 histograms += ", \"sum\": ";
                 append_number(histograms, m.hist_sum);

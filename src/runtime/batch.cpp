@@ -289,101 +289,6 @@ BatchResult BatchScheduler::run_rule(const std::vector<geo::SegmentedLayout>& cl
         names);
 }
 
-BatchResult BatchScheduler::run_camo_batched(const std::vector<geo::SegmentedLayout>& clips,
-                                             const core::CamoEngine& engine,
-                                             const std::vector<std::string>& names) {
-    const obs::Span run_span("batch.run", batch_hist());
-    Timer wall;
-    BatchResult batch;
-    batch.reward_mode = opt_.opc.objective;
-    batch.window_mode = opt_.window || opt_.opc.objective != rl::RewardMode::kNominal;
-    batch.threads = 1;
-    batch.clips.resize(clips.size());
-    for (std::size_t i = 0; i < clips.size(); ++i) {
-        batch.clips[i].index = static_cast<int>(i);
-        if (i < names.size()) batch.clips[i].name = names[i];
-        batch.clips[i].segments = clips[i].num_segments();
-    }
-
-    // One simulator per clip (the incremental cache is per-instance). The
-    // copies share the worker simulators' kernel set but carry their source's
-    // counters, so deltas are taken against a baseline snapshot.
-    std::vector<litho::LithoSim> csims;
-    csims.reserve(clips.size());
-    for (std::size_t i = 0; i < clips.size(); ++i) csims.emplace_back(sims_.front());
-    long long evals_before = 0;
-    long long hits_before = 0;
-    long long fulls_before = 0;
-    for (const litho::LithoSim& sim : csims) {
-        evals_before += sim.evaluate_count();
-        hits_before += sim.incremental_hit_count();
-        fulls_before += sim.incremental_full_count();
-    }
-
-    std::vector<std::uint64_t> seeds;
-    if (opt_.stochastic) {
-        seeds.reserve(clips.size());
-        for (std::size_t i = 0; i < clips.size(); ++i) seeds.push_back(derive_seed(opt_.seed, i));
-    }
-
-    try {
-        std::vector<opc::EngineResult> results =
-            engine.infer_batch(clips, csims, opt_.opc, seeds);
-        for (std::size_t i = 0; i < clips.size(); ++i) {
-            opc::EngineResult& res = results[i];
-            ClipResult& out = batch.clips[i];
-            out.iterations = res.iterations;
-            out.initial_epe = res.epe_history.empty() ? 0.0 : res.epe_history.front();
-            out.final_epe = res.final_metrics.sum_abs_epe;
-            out.pvband_nm2 = res.final_metrics.pvband_nm2;
-            out.runtime_s = res.runtime_s;
-            out.offsets = res.final_offsets;
-            if (res.final_window &&
-                (!opt_.window || same_window_spec(opt_.window_spec, opt_.opc.window))) {
-                out.window = std::move(res.final_window);
-            } else if (opt_.window) {
-                out.window = csims[i].evaluate_window_incremental(clips[i], res.final_offsets,
-                                                                  opt_.window_spec);
-            }
-        }
-    } catch (const std::exception& e) {
-        // The lockstep rollout is all-or-nothing; attribute the failure to
-        // every clip rather than guessing which one threw.
-        for (ClipResult& c : batch.clips) c.error = e.what();
-    }
-
-    batch.wall_s = wall.seconds();
-    for (const ClipResult& c : batch.clips) {
-        if (!c.error.empty()) {
-            ++batch.failed;
-            continue;
-        }
-        batch.sum_initial_epe += c.initial_epe;
-        batch.sum_final_epe += c.final_epe;
-        batch.sum_pvband_nm2 += c.pvband_nm2;
-        batch.sum_clip_runtime_s += c.runtime_s;
-        if (c.window) {
-            batch.sum_worst_window_epe += c.window->worst_epe;
-            batch.sum_pv_band_exact_nm2 += c.window->pv_band_exact_nm2;
-        }
-    }
-    for (const litho::LithoSim& sim : csims) {
-        batch.litho_evaluations += sim.evaluate_count();
-        batch.incremental_hits += sim.incremental_hit_count();
-        batch.incremental_fulls += sim.incremental_full_count();
-    }
-    batch.litho_evaluations -= evals_before;
-    batch.incremental_hits -= hits_before;
-    batch.incremental_fulls -= fulls_before;
-    batch.throughput_cps = batch.wall_s > 0.0 ? batch.ok() / batch.wall_s : 0.0;
-    obs::counter_add(clips_counter(), static_cast<long long>(batch.clips.size()));
-    obs::counter_add(failed_counter(), batch.failed);
-    obs::counter_add(batch_evals_counter(), batch.litho_evaluations);
-    obs::counter_add(batch_hits_counter(), batch.incremental_hits);
-    obs::counter_add(batch_fulls_counter(), batch.incremental_fulls);
-    return batch;
-}
-
 BatchResult BatchScheduler::run_camo(const std::vector<geo::SegmentedLayout>& clips,
                                      const core::CamoEngine& engine,
                                      const std::vector<std::string>& names) {

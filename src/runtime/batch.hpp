@@ -196,19 +196,6 @@ public:
                          const core::CamoEngine& engine,
                          const std::vector<std::string>& names = {});
 
-    /// CAMO batch through the batched inference path: instead of one thread
-    /// per clip, all clips advance in lockstep waves on the calling thread
-    /// and each wave issues ONE batched policy forward
-    /// (CamoEngine::infer_batch) over every clip awaiting an action. Per-clip
-    /// results are identical to run_camo()'s on the same backend — the same
-    /// per-job splitmix seeds drive stochastic action sampling — so this is a
-    /// throughput knob for the policy-bound regime (many small clips), not a
-    /// semantic switch. BatchResult::threads reports 1: the litho evaluation
-    /// is serial here, only the policy math is batched.
-    BatchResult run_camo_batched(const std::vector<geo::SegmentedLayout>& clips,
-                                 const core::CamoEngine& engine,
-                                 const std::vector<std::string>& names = {});
-
 private:
     BatchOptions opt_;
     ThreadPool pool_;

@@ -8,13 +8,19 @@
 // fast-path invocations still exit 0.
 //
 // Each case only has to reach argument parsing, so the whole matrix runs in
-// well under a second — no training, litho or GDS work is triggered.
+// well under a second — no training, litho or GDS work is triggered. Every
+// subcommand parses through one flag table (common/parse.hpp), exercised
+// directly by the FlagTable cases at the end.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
+
+#include "common/parse.hpp"
 
 namespace {
 
@@ -51,6 +57,11 @@ TEST(CliRobustness, SingleClipFlags) {
     expect_usage_exit(base + "--iterations -3");
     expect_usage_exit(base + "--reward-mode bogus");
     expect_usage_exit(base + "--train-workers 1.5");
+    expect_usage_exit(base + "--style bogus");
+    expect_usage_exit(base + "--engine bogus");
+    expect_usage_exit(base + "--log-level bogus");
+    expect_usage_exit(base + "--layer");  // missing trailing value
+    expect_usage_exit("--out b.gds");     // --in is required
 }
 
 TEST(CliRobustness, BatchFlags) {
@@ -65,9 +76,11 @@ TEST(CliRobustness, BatchFlags) {
     expect_usage_exit("batch --seed 99999999999999999999999");  // u64 overflow
     expect_usage_exit("batch --iterations 0");
     expect_usage_exit("batch --engine bogus");
-    expect_usage_exit("batch --batched --engine rule");  // batched is camo-only
+    expect_usage_exit("batch --batched --engine rule");  // --batched is no longer a flag
     expect_usage_exit("batch --doses 1.0");              // sweep-only flag
     expect_usage_exit("batch --no-such-flag");
+    expect_usage_exit("batch --log-level bogus");
+    expect_usage_exit("batch --clips");  // missing trailing value
 }
 
 TEST(CliRobustness, SweepLists) {
@@ -79,6 +92,8 @@ TEST(CliRobustness, SweepLists) {
     expect_usage_exit("sweep --doses ''");
     expect_usage_exit("sweep --focuses 0,nan");
     expect_usage_exit("sweep --focuses 12.5junk");
+    expect_usage_exit("sweep --log-level bogus");
+    expect_usage_exit("sweep --doses");  // missing trailing value
 }
 
 TEST(CliRobustness, CompareFlags) {
@@ -93,6 +108,8 @@ TEST(CliRobustness, CompareFlags) {
     expect_usage_exit("compare --slack nan");
     expect_usage_exit("compare --rewards nominal,bogus");
     expect_usage_exit("compare --no-such-flag");
+    expect_usage_exit("compare --log-level bogus");
+    expect_usage_exit("compare --golden");  // missing trailing value
     EXPECT_EQ(run_cli("compare --list-scenarios"), 0);
 }
 
@@ -104,6 +121,9 @@ TEST(CliRobustness, ChipgenFlags) {
     expect_usage_exit("chipgen --out c.gds --rows 12abc");
     expect_usage_exit("chipgen --out c.gds --pitch -5");
     expect_usage_exit("chipgen --out c.gds --no-such-flag");
+    expect_usage_exit("chipgen --out c.gds --log-level bogus");  // no telemetry flags
+    expect_usage_exit("chipgen --out c.gds --cols");             // missing trailing value
+    expect_usage_exit("chipgen --out");
 }
 
 TEST(CliRobustness, ShardFlags) {
@@ -120,6 +140,8 @@ TEST(CliRobustness, ShardFlags) {
     expect_usage_exit("shard --iterations 0");
     expect_usage_exit("shard --engine oneshot");
     expect_usage_exit("shard --no-such-flag");
+    expect_usage_exit("shard --log-level bogus");
+    expect_usage_exit("shard --tile");  // missing trailing value
 }
 
 TEST(CliRobustness, ServeFlags) {
@@ -136,6 +158,8 @@ TEST(CliRobustness, ServeFlags) {
     expect_usage_exit("serve --iterations 0");
     expect_usage_exit("serve --engine ilt");
     expect_usage_exit("serve --no-such-flag");
+    expect_usage_exit("serve --log-level bogus");
+    expect_usage_exit("serve --deadline-s");  // missing trailing value
 }
 
 TEST(CliRobustness, CollectFlags) {
@@ -147,6 +171,8 @@ TEST(CliRobustness, CollectFlags) {
     expect_usage_exit("collect --out s.ctrj --seed -1");
     expect_usage_exit("collect --out s.ctrj --no-such-flag");
     expect_usage_exit("collect --out s.ctrj --from-store x");  // train-only flag
+    expect_usage_exit("collect --out s.ctrj --log-level bogus");
+    expect_usage_exit("collect --out s.ctrj --clips");  // missing trailing value
 }
 
 TEST(CliRobustness, TrainFlags) {
@@ -162,6 +188,8 @@ TEST(CliRobustness, TrainFlags) {
     expect_usage_exit(base + "--seed 99999999999999999999999");
     expect_usage_exit(base + "--no-such-flag");
     expect_usage_exit(base + "--out x.ctrj");  // collect-only flag
+    expect_usage_exit(base + "--log-level bogus");
+    expect_usage_exit(base + "--epochs");  // missing trailing value
 }
 
 /// Exit status of `pretrain <args>` (CAMO_PRETRAIN_PATH) with output discarded.
@@ -189,6 +217,103 @@ TEST(CliRobustness, ChipgenHappyPathStillWorks) {
     const std::string out = testing::TempDir() + "cli_robustness_chip.gds";
     EXPECT_EQ(run_cli("chipgen --out " + out + " --cols 1 --rows 1"), 0);
     std::remove(out.c_str());
+}
+
+/// Combined stdout + stderr of `camo_cli <args>`.
+std::string cli_output(const std::string& args) {
+    const std::string cmd = std::string(CAMO_CLI_PATH) + " " + args + " 2>&1";
+    std::string out;
+    FILE* pipe = popen(cmd.c_str(), "r");
+    if (pipe == nullptr) return out;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+    pclose(pipe);
+    return out;
+}
+
+TEST(CliRobustness, UsageLineListsTheSubcommandTable) {
+    const std::string out = cli_output("train --no-such-flag");
+    EXPECT_NE(out.find("unknown argument: --no-such-flag"), std::string::npos) << out;
+    EXPECT_NE(out.find("usage: camo_cli train --from-store store.ctrj --weights out.bin"),
+              std::string::npos)
+        << out;
+    for (const char* item : {"[--epochs N]", "[--in-memory]", "[--style via|metal]",
+                             "[--log-level quiet|info|debug]", "[--trace PATH]"}) {
+        EXPECT_NE(out.find(item), std::string::npos) << item << "\n" << out;
+    }
+    EXPECT_EQ(out.find("--batched"), std::string::npos);
+    EXPECT_EQ(cli_output("batch --batched").find("[--batched]"), std::string::npos);
+}
+
+// ---- the flag table itself ---------------------------------------------------
+
+/// parse_flags over a literal argv (argv[0] is the program name).
+bool parse(const std::vector<camo::Flag>& flags, std::vector<std::string> args) {
+    args.insert(args.begin(), "prog");
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    return camo::parse_flags(flags, static_cast<int>(argv.size()), argv.data(), 1);
+}
+
+TEST(FlagTable, ParsesEveryKindAndLastOccurrenceWins) {
+    std::string path;
+    int n = 0;
+    std::uint64_t seed = 0;
+    double slack = 0.0;
+    std::vector<double> list;
+    bool on = false;
+    std::string engine = "rule";
+    const std::vector<camo::Flag> flags = {
+        camo::string_flag("--path", path),
+        camo::int_flag("--n", n, 1),
+        camo::u64_flag("--seed", seed),
+        camo::double_flag("--slack", slack, 0.0),
+        camo::double_list_flag("--list", list),
+        camo::switch_flag("--on", on),
+        camo::choice_flag("--engine", engine, {"rule", "camo"}),
+    };
+    ASSERT_TRUE(parse(flags, {"--path", "a", "--n", "3", "--seed", "7", "--slack", "0.5",
+                              "--list", "1,2.5", "--on", "--engine", "camo", "--n", "4"}));
+    EXPECT_EQ(path, "a");
+    EXPECT_EQ(n, 4);
+    EXPECT_EQ(seed, 7U);
+    EXPECT_EQ(slack, 0.5);
+    EXPECT_EQ(list, (std::vector<double>{1.0, 2.5}));
+    EXPECT_TRUE(on);
+    EXPECT_EQ(engine, "camo");
+
+    EXPECT_FALSE(parse(flags, {"--n", "0"}));         // below min
+    EXPECT_FALSE(parse(flags, {"--engine", "ilt"}));  // not a choice
+    EXPECT_FALSE(parse(flags, {"--on", "extra"}));    // switches take no value
+    EXPECT_FALSE(parse(flags, {"--path"}));           // missing value
+    EXPECT_EQ(n, 4);  // rejected values leave the destination untouched
+}
+
+TEST(FlagTable, RequiredFlagsAndUsageLine) {
+    std::string out;
+    int n = 2;
+    bool quiet = false;
+    const std::vector<camo::Flag> flags = {
+        camo::required(camo::string_flag("--out", out, "result.gds")),
+        camo::int_flag("--n", n, 1),
+        camo::switch_flag("--quiet", quiet),
+    };
+    EXPECT_FALSE(parse(flags, {"--n", "3"}));
+    EXPECT_TRUE(parse(flags, {"--out", "x.gds"}));
+    EXPECT_EQ(camo::flag_usage("prog sub", flags),
+              "usage: prog sub --out result.gds [--n N] [--quiet]\n");
+
+    // Long tables wrap at 80 columns onto indented continuation lines.
+    std::vector<camo::Flag> many;
+    for (int i = 0; i < 12; ++i) many.push_back(camo::int_flag("--flag" + std::to_string(i), n));
+    const std::string usage = camo::flag_usage("prog", many);
+    std::size_t start = 0;
+    for (std::size_t nl = usage.find('\n'); nl != std::string::npos;
+         nl = usage.find('\n', start = nl + 1)) {
+        EXPECT_LE(nl - start, 80U) << usage;
+    }
+    // Continuation lines align under the first flag ("usage: prog " = 12).
+    EXPECT_NE(usage.find("\n" + std::string(12, ' ') + "[--flag"), std::string::npos) << usage;
 }
 
 }  // namespace

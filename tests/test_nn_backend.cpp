@@ -7,11 +7,14 @@
 //    to a small relative tolerance (fuzzed here over random shapes), and a
 //    batched call is BITWISE identical to the same rows issued one at a
 //    time on every backend (row accumulation order is row-independent);
-//  * action identity — end to end, the SIMD and batched inference paths
-//    select exactly the actions the scalar single-row path selects, on
-//    every registered scenario and every reward mode. Integer offsets make
-//    this an exact equality check, which is what lets CAMO_BACKEND default
-//    to the fastest level without perturbing any golden result.
+//  * action identity — end to end, the SIMD inference path selects exactly
+//    the actions the scalar path selects on every registered scenario.
+//    Integer offsets make this an exact equality check, which is what lets
+//    CAMO_BACKEND default to the fastest level without perturbing any
+//    golden result;
+//  * batched policy evaluation — PolicyNetwork::infer_batch over several
+//    clips returns, per clip, the bitwise logits of a single-clip infer()
+//    on every backend.
 //
 // On a build or CPU without vector kernels (CAMO_SIMD=OFF, pre-AVX2 x86)
 // ScopedOverride clips to scalar and the comparisons degrade to
@@ -21,17 +24,19 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "core/camo.hpp"
+#include "core/graph.hpp"
 #include "nn/backend.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/tensor.hpp"
 #include "opc/rule_engine.hpp"
-#include "runtime/batch.hpp"
 #include "scenario/scenario.hpp"
 
 namespace {
@@ -226,49 +231,47 @@ TEST(PolicyBackend, SimdSelectsIdenticalActionsOnEveryScenario) {
     }
 }
 
-TEST(PolicyBackend, BatchedMatchesSingleOnEveryScenario) {
-    const core::CamoEngine engine = make_engine();
+TEST(PolicyBackend, BatchedInferBitwiseEqualsPerClipOnEveryScenario) {
+    // The batching contract BM_BatchedInfer and the perf probes rely on:
+    // one infer_batch over several clips' encoded states returns, per clip,
+    // exactly the logits a single-clip infer() returns, on each backend.
+    core::CamoEngine engine = make_engine();
     for (const std::string& name : scenario::Registry::instance().names()) {
         const scenario::Scenario sc = scenario::Registry::instance().get(name);
-        const std::vector<geo::SegmentedLayout> layouts = sc.layouts(2);
-        runtime::BatchOptions bopt;
-        bopt.threads = 1;
-        bopt.opc = quick_opc(sc.style);
-        runtime::BatchScheduler sched(sc.litho, bopt);
-        const runtime::BatchResult single = sched.run_camo(layouts, engine);
-        const runtime::BatchResult batched = sched.run_camo_batched(layouts, engine);
-        ASSERT_EQ(single.clips.size(), batched.clips.size()) << name;
-        for (std::size_t i = 0; i < single.clips.size(); ++i) {
-            EXPECT_EQ(single.clips[i].error, batched.clips[i].error) << name;
-            EXPECT_EQ(single.clips[i].offsets, batched.clips[i].offsets) << name;
-            EXPECT_EQ(single.clips[i].iterations, batched.clips[i].iterations) << name;
-            EXPECT_EQ(single.clips[i].final_epe, batched.clips[i].final_epe) << name;
-        }
-    }
-}
+        const std::vector<geo::SegmentedLayout> layouts = sc.layouts(3);
+        const opc::OpcOptions opt = quick_opc(sc.style);
 
-TEST(PolicyBackend, BatchedMatchesSingleAcrossRewardModesAndSampling) {
-    const core::CamoEngine engine = make_engine();
-    const scenario::Scenario sc =
-        scenario::Registry::instance().get(scenario::Registry::instance().names().front());
-    const std::vector<geo::SegmentedLayout> layouts = sc.layouts(2);
-    for (const rl::RewardMode mode : {rl::RewardMode::kNominal, rl::RewardMode::kWorstCorner,
-                                      rl::RewardMode::kWeightedCorner}) {
-        for (const bool stochastic : {false, true}) {
-            runtime::BatchOptions bopt;
-            bopt.threads = 1;
-            bopt.stochastic = stochastic;
-            bopt.opc = quick_opc(sc.style);
-            bopt.opc.objective = mode;
-            runtime::BatchScheduler sched(sc.litho, bopt);
-            const runtime::BatchResult single = sched.run_camo(layouts, engine);
-            const runtime::BatchResult batched = sched.run_camo_batched(layouts, engine);
-            ASSERT_EQ(single.clips.size(), batched.clips.size());
-            for (std::size_t i = 0; i < single.clips.size(); ++i) {
-                EXPECT_EQ(single.clips[i].offsets, batched.clips[i].offsets)
-                    << rl::reward_mode_name(mode) << " stochastic=" << stochastic;
-                EXPECT_EQ(single.clips[i].iterations, batched.clips[i].iterations)
-                    << rl::reward_mode_name(mode) << " stochastic=" << stochastic;
+        std::vector<std::vector<nn::Tensor>> features;
+        std::vector<core::Graph> graphs;
+        for (const geo::SegmentedLayout& layout : layouts) {
+            if (layout.num_segments() == 0) continue;  // no node set to evaluate
+            // Offsets vary per segment so the states are not all the
+            // initial-bias mask.
+            std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()));
+            for (std::size_t s = 0; s < offsets.size(); ++s) {
+                offsets[s] = opt.initial_bias_nm + static_cast<int>(s % 3) - 1;
+            }
+            features.push_back(engine.encode_state(layout, offsets));
+            graphs.push_back(core::build_segment_graph(layout, engine.config().graph_threshold_nm));
+        }
+        ASSERT_GE(features.size(), 2U) << name;
+        std::vector<core::PolicyNetwork::ClipRequest> requests;
+        for (std::size_t c = 0; c < features.size(); ++c) {
+            requests.push_back({&features[c], &graphs[c]});
+        }
+
+        for (const simd::Level level : {simd::Level::kScalar, simd::detected_level()}) {
+            simd::ScopedOverride force(level);
+            const std::vector<nn::Tensor> batched = engine.policy().infer_batch(requests);
+            ASSERT_EQ(batched.size(), features.size()) << name;
+            for (std::size_t c = 0; c < features.size(); ++c) {
+                const nn::Tensor single = engine.policy().infer(features[c], graphs[c]);
+                ASSERT_EQ(batched[c].shape(), single.shape()) << name << " clip " << c;
+                const std::span<const float> b = batched[c].data();
+                const std::span<const float> s = single.data();
+                ASSERT_EQ(b.size(), s.size());
+                EXPECT_EQ(std::memcmp(b.data(), s.data(), b.size_bytes()), 0)
+                    << name << " clip " << c << " level " << simd::level_name(level);
             }
         }
     }

@@ -30,7 +30,9 @@
 // requests).
 //
 // An unknown subcommand prints the top-level usage and exits 2; every
-// subcommand likewise exits 2 on unknown flags.
+// subcommand likewise exits 2 on an unknown flag, a missing or malformed
+// value, or an absent required flag, printing the usage line generated from
+// its flag table (common/parse.hpp).
 //
 // Single-clip mode reads target polygons from a GDSII file (layer 1 by
 // default), runs the selected OPC engine against the lithography simulator,
@@ -66,14 +68,9 @@
 // Batch mode runs the parallel runtime over a generated via-clip stream and
 // prints per-clip results plus aggregate throughput:
 //
-//   camo_cli batch [--clips N] [--threads N] [--engine rule|camo] [--batched]
+//   camo_cli batch [--clips N] [--threads N] [--engine rule|camo]
 //                  [--seed S] [--iterations N] [--train-workers N]
 //                  [--reward-mode M] [--window] [--quiet]
-//
-// --batched (camo engine only) routes the batch through the lockstep batched
-// inference path: every wave issues one policy forward over all clips
-// awaiting actions instead of one forward per clip. Results are identical to
-// the threaded path on the same backend.
 //
 // Sweep mode is batch mode plus a multi-corner process-window evaluation of
 // every corrected mask (defaults to the standard {dose_min, 1, dose_max} x
@@ -124,96 +121,50 @@ namespace {
 
 using namespace camo;
 
-// ---- Checked flag parsing ---------------------------------------------------
-// Every numeric flag goes through common/parse.hpp: the whole value must be a
-// well-formed, in-range number (no trailing garbage, no overflow, no
-// exceptions) and range violations get a flag-specific diagnostic before the
-// caller prints usage and exits 2. The std::sto* family this replaces
-// TERMINATED the process on "--threads foo" and silently read "1e99" as 1.
+// ---- Flag tables ------------------------------------------------------------
+// Every subcommand declares its flags once (common/parse.hpp): the table
+// drives the argv walk, the checked numeric parsing with per-flag
+// diagnostics, and the usage line printed on exit 2.
 
-bool flag_int(const char* flag, const std::string& v, int& out) {
-    if (!parse_int(v, out)) {
-        std::fprintf(stderr, "%s: expected an integer, got '%s'\n", flag, v.c_str());
-        return false;
-    }
-    return true;
-}
-
-bool flag_int_min(const char* flag, const std::string& v, int min, int& out) {
-    int x = 0;
-    if (!flag_int(flag, v, x)) return false;
-    if (x < min) {
-        std::fprintf(stderr, "%s: must be >= %d, got %d\n", flag, min, x);
-        return false;
-    }
-    out = x;
-    return true;
-}
-
-bool flag_u64(const char* flag, const std::string& v, std::uint64_t& out) {
-    if (!parse_u64(v, out)) {
-        std::fprintf(stderr, "%s: expected an unsigned integer, got '%s'\n", flag, v.c_str());
-        return false;
-    }
-    return true;
-}
-
-bool flag_double_min(const char* flag, const std::string& v, double min, double& out) {
-    double x = 0.0;
-    if (!parse_double(v, x)) {
-        std::fprintf(stderr, "%s: expected a number, got '%s'\n", flag, v.c_str());
-        return false;
-    }
-    if (x < min) {
-        std::fprintf(stderr, "%s: must be >= %g, got %g\n", flag, min, x);
-        return false;
-    }
-    out = x;
-    return true;
-}
-
-bool flag_double_list(const char* flag, const std::string& v, std::vector<double>& out) {
-    if (!parse_double_list(v, out)) {
-        std::fprintf(stderr,
-                     "%s: expected a comma-separated list of numbers (e.g. 0.96,1.0,1.04), "
-                     "got '%s'\n",
-                     flag, v.c_str());
-        return false;
-    }
-    return true;
-}
-
-// Shared telemetry/logging switches (--metrics-json / --trace / --log-level).
+// Shared telemetry/logging switches (--quiet / --log-level / --metrics-json /
+// --trace).
 struct ObsCliOptions {
+    bool quiet = false;
+    std::string log_level;     ///< empty = derived from --quiet
     std::string metrics_json;  ///< empty = metrics registry disabled
     std::string trace;         ///< empty = span tracing disabled
-    std::string log_level;     ///< empty = derived from --quiet
 };
 
-bool parse_log_level(const std::string& s, LogLevel& lvl) {
-    if (s == "quiet") {
-        lvl = LogLevel::kQuiet;
-    } else if (s == "info") {
-        lvl = LogLevel::kInfo;
-    } else if (s == "debug") {
-        lvl = LogLevel::kDebug;
-    } else {
-        return false;
-    }
-    return true;
+/// `flags` followed by the shared telemetry/logging fragment.
+std::vector<Flag> with_obs(std::vector<Flag> flags, ObsCliOptions& o) {
+    flags.push_back(switch_flag("--quiet", o.quiet));
+    flags.push_back(choice_flag("--log-level", o.log_level, {"quiet", "info", "debug"}));
+    flags.push_back(string_flag("--metrics-json", o.metrics_json));
+    flags.push_back(string_flag("--trace", o.trace));
+    return flags;
 }
 
-/// Returns false (after printing a diagnostic) on a bad --log-level value.
-bool apply_obs_options(const ObsCliOptions& o, bool quiet) {
-    LogLevel lvl = quiet ? LogLevel::kQuiet : LogLevel::kInfo;
-    if (!o.log_level.empty() && !parse_log_level(o.log_level, lvl)) {
-        std::fprintf(stderr, "unknown log level: %s\n", o.log_level.c_str());
+Flag reward_mode_flag(rl::RewardMode& dst) {
+    return custom_flag("--reward-mode", "nominal|worst|weighted", [&dst](const std::string& v) {
+        if (rl::parse_reward_mode(v, dst)) return true;
+        std::fprintf(stderr, "unknown reward mode: %s\n", v.c_str());
         return false;
-    }
+    });
+}
+
+/// Print the table-generated usage line; returns the usage exit code.
+int usage_exit(const std::string& prog, const std::vector<Flag>& flags) {
+    std::fputs(flag_usage(prog, flags).c_str(), stderr);
+    return 2;
+}
+
+void apply_obs_options(const ObsCliOptions& o) {
+    LogLevel lvl = o.quiet ? LogLevel::kQuiet : LogLevel::kInfo;
+    // --log-level overrides --quiet; its value was checked by choice_flag.
+    if (!o.log_level.empty()) (void)parse_log_level(o.log_level, lvl);
     set_log_level(lvl);
     if (!o.metrics_json.empty()) obs::set_metrics_enabled(true);
     if (!o.trace.empty()) obs::set_tracing_enabled(true);
-    return true;
 }
 
 void write_obs_reports(const ObsCliOptions& o) {
@@ -236,57 +187,8 @@ struct CliOptions {
     int train_workers = 1;  // data-parallel trainer width; <= 0 = all threads
     rl::RewardMode reward_mode = rl::RewardMode::kNominal;
     bool window = false;
-    bool quiet = false;
     ObsCliOptions obs;
 };
-
-bool parse_args(int argc, char** argv, CliOptions& o) {
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&](std::string& dst) {
-            if (i + 1 >= argc) return false;
-            dst = argv[++i];
-            return true;
-        };
-        std::string v;
-        if (a == "--in" && next(v)) {
-            o.in = v;
-        } else if (a == "--out" && next(v)) {
-            o.out = v;
-        } else if (a == "--engine" && next(v)) {
-            o.engine = v;
-        } else if (a == "--style" && next(v)) {
-            o.style = v;
-        } else if (a == "--layer" && next(v)) {
-            if (!flag_int_min("--layer", v, 0, o.layer)) return false;
-        } else if (a == "--clip" && next(v)) {
-            if (!flag_int_min("--clip", v, 1, o.clip_nm)) return false;
-        } else if (a == "--iterations" && next(v)) {
-            if (!flag_int_min("--iterations", v, 1, o.iterations)) return false;
-        } else if (a == "--train-workers" && next(v)) {
-            if (!flag_int("--train-workers", v, o.train_workers)) return false;
-        } else if (a == "--reward-mode" && next(v)) {
-            if (!parse_reward_mode(v, o.reward_mode)) {
-                std::fprintf(stderr, "unknown reward mode: %s\n", v.c_str());
-                return false;
-            }
-        } else if (a == "--window") {
-            o.window = true;
-        } else if (a == "--quiet") {
-            o.quiet = true;
-        } else if (a == "--log-level" && next(v)) {
-            o.obs.log_level = v;
-        } else if (a == "--metrics-json" && next(v)) {
-            o.obs.metrics_json = v;
-        } else if (a == "--trace" && next(v)) {
-            o.obs.trace = v;
-        } else {
-            std::fprintf(stderr, "unknown or incomplete argument: %s\n", a.c_str());
-            return false;
-        }
-    }
-    return !o.in.empty() && !o.out.empty();
-}
 
 struct BatchCliOptions {
     int clips = 32;
@@ -296,87 +198,36 @@ struct BatchCliOptions {
     int iterations = -1;
     int train_workers = 1;  // data-parallel trainer width; <= 0 = all threads
     rl::RewardMode reward_mode = rl::RewardMode::kNominal;
-    bool quiet = false;
     ObsCliOptions obs;
     bool window = false;             // sweep mode / batch --window
-    bool batched = false;            // camo: lockstep batched policy inference
     std::vector<double> doses;       // empty = standard window
     std::vector<double> focuses_nm;  // empty = standard window
 };
 
-bool parse_batch_args(int argc, char** argv, BatchCliOptions& o) {
-    for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&](std::string& dst) {
-            if (i + 1 >= argc) return false;
-            dst = argv[++i];
-            return true;
-        };
-        std::string v;
-        if (a == "--clips" && next(v)) {
-            if (!flag_int_min("--clips", v, 1, o.clips)) return false;
-        } else if (a == "--threads" && next(v)) {
-            if (!flag_int_min("--threads", v, 1, o.threads)) return false;
-        } else if (a == "--engine" && next(v)) {
-            o.engine = v;
-        } else if (a == "--seed" && next(v)) {
-            if (!flag_u64("--seed", v, o.seed)) return false;
-        } else if (a == "--iterations" && next(v)) {
-            if (!flag_int_min("--iterations", v, 1, o.iterations)) return false;
-        } else if (a == "--train-workers" && next(v)) {
-            if (!flag_int("--train-workers", v, o.train_workers)) return false;
-        } else if (a == "--batched") {
-            o.batched = true;
-        } else if (a == "--reward-mode" && next(v)) {
-            if (!parse_reward_mode(v, o.reward_mode)) {
-                std::fprintf(stderr, "unknown reward mode: %s\n", v.c_str());
-                return false;
-            }
-        } else if (a == "--window") {
-            o.window = true;  // batch --window == sweep mode
-        } else if (a == "--quiet") {
-            o.quiet = true;
-        } else if (a == "--log-level" && next(v)) {
-            o.obs.log_level = v;
-        } else if (a == "--metrics-json" && next(v)) {
-            o.obs.metrics_json = v;
-        } else if (a == "--trace" && next(v)) {
-            o.obs.trace = v;
-        } else if (o.window && a == "--doses" && next(v)) {
-            if (!flag_double_list("--doses", v, o.doses)) return false;
-        } else if (o.window && a == "--focuses" && next(v)) {
-            if (!flag_double_list("--focuses", v, o.focuses_nm)) return false;
-        } else {
-            std::fprintf(stderr, "unknown or incomplete argument: %s\n", a.c_str());
-            return false;
-        }
-    }
-    if (o.engine != "rule" && o.engine != "camo") {
-        std::fprintf(stderr, "--engine: expected rule or camo, got '%s'\n", o.engine.c_str());
-        return false;
-    }
-    if (o.batched && o.engine != "camo") {
-        std::fprintf(stderr, "--batched requires --engine camo\n");
-        return false;
-    }
-    return true;
-}
-
 int batch_main(int argc, char** argv, bool window) {
     BatchCliOptions cli;
     cli.window = window;
-    if (!parse_batch_args(argc, argv, cli)) {
-        std::fprintf(stderr,
-                     "usage: camo_cli %s [--clips N] [--threads N] [--engine rule|camo]"
-                     " [--batched] [--seed S] [--iterations N] [--train-workers N]"
-                     " [--reward-mode nominal|worst|weighted]"
-                     " [--quiet] [--log-level quiet|info|debug]"
-                     " [--metrics-json PATH] [--trace PATH]%s\n",
-                     window ? "sweep" : "batch",
-                     window ? " [--doses a,b,..] [--focuses a,b,..]" : " [--window]");
-        return 2;
+    const std::vector<Flag> flags = with_obs(
+        {
+            int_flag("--clips", cli.clips, 1),
+            int_flag("--threads", cli.threads, 1),
+            choice_flag("--engine", cli.engine, {"rule", "camo"}),
+            u64_flag("--seed", cli.seed),
+            int_flag("--iterations", cli.iterations, 1),
+            int_flag("--train-workers", cli.train_workers),
+            reward_mode_flag(cli.reward_mode),
+            switch_flag("--window", cli.window),  // batch --window == sweep mode
+            double_list_flag("--doses", cli.doses),
+            double_list_flag("--focuses", cli.focuses_nm),
+        },
+        cli.obs);
+    const std::string prog = window ? "camo_cli sweep" : "camo_cli batch";
+    if (!parse_flags(flags, argc, argv, 2)) return usage_exit(prog, flags);
+    if (!cli.window && (!cli.doses.empty() || !cli.focuses_nm.empty())) {
+        std::fprintf(stderr, "--doses/--focuses need sweep mode (or batch --window)\n");
+        return usage_exit(prog, flags);
     }
-    if (!apply_obs_options(cli.obs, cli.quiet)) return 2;
+    apply_obs_options(cli.obs);
 
     const std::vector<layout::Clip> raw = layout::via_batch_set(cli.seed, cli.clips);
     const std::vector<geo::SegmentedLayout> clips = core::fragment_via_clips(raw);
@@ -423,8 +274,7 @@ int batch_main(int argc, char** argv, bool window) {
             layout::via_training_set(core::Experiment::kDatasetSeed));
         core::ensure_trained(engine, train, train_sim, opt.opc,
                              core::Experiment::weights_path(cfg, "via", cli.reward_mode));
-        res = cli.batched ? scheduler.run_camo_batched(clips, engine, names)
-                          : scheduler.run_camo(clips, engine, names);
+        res = scheduler.run_camo(clips, engine, names);
     }
 
     if (cli.window || cli.reward_mode != rl::RewardMode::kNominal) {
@@ -490,95 +340,55 @@ void print_scenarios() {
     }
 }
 
-void print_compare_usage() {
-    std::fprintf(stderr,
-                 "usage: camo_cli compare [--scenarios a,b,..]"
-                 " [--engines rule,oneshot,camo,rlopc,ilt]"
-                 " [--rewards nominal,worst,weighted] [--clips N] [--threads N]"
-                 " [--seed S] [--iterations N] [--ilt-iterations N]"
-                 " [--train-clips N] [--json PATH] [--golden PATH]"
-                 " [--write-golden PATH] [--slack X] [--list-scenarios]"
-                 " [--quiet] [--log-level quiet|info|debug]"
-                 " [--metrics-json PATH] [--trace PATH]\n");
-}
-
 int compare_main(int argc, char** argv) {
     scenario::CompareOptions cmp;
     std::string json_path;
     std::string golden_path;
     std::string write_golden_path;
     double slack = 0.25;
-    bool quiet = false;
     bool list = false;
     ObsCliOptions obs;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&](std::string& dst) {
-            if (i + 1 >= argc) return false;
-            dst = argv[++i];
+    const auto set_list = [](std::vector<std::string>& dst) {
+        return [&dst](const std::string& v) {
+            dst = split_list(v);
             return true;
         };
-        bool ok = true;
-        std::string v;
-        if (a == "--scenarios" && next(v)) {
-            cmp.scenarios = split_list(v);
-        } else if (a == "--engines" && next(v)) {
-            cmp.engines = split_list(v);
-        } else if (a == "--rewards" && next(v)) {
-            cmp.rewards.clear();
-            for (const std::string& r : split_list(v)) {
-                rl::RewardMode mode{};
-                if (!rl::parse_reward_mode(r, mode)) {
-                    std::fprintf(stderr, "unknown reward mode: %s\n", r.c_str());
-                    return 2;
-                }
-                cmp.rewards.push_back(mode);
+    };
+    const auto set_rewards = [&cmp](const std::string& v) {
+        std::vector<rl::RewardMode> modes;
+        for (const std::string& r : split_list(v)) {
+            if (!rl::parse_reward_mode(r, modes.emplace_back())) {
+                std::fprintf(stderr, "unknown reward mode: %s\n", r.c_str());
+                return false;
             }
-        } else if (a == "--clips" && next(v)) {
-            ok = flag_int_min("--clips", v, 1, cmp.clips);
-        } else if (a == "--threads" && next(v)) {
-            ok = flag_int_min("--threads", v, 1, cmp.threads);
-        } else if (a == "--seed" && next(v)) {
-            ok = flag_u64("--seed", v, cmp.seed);
-        } else if (a == "--iterations" && next(v)) {
-            ok = flag_int_min("--iterations", v, 1, cmp.max_iterations);
-        } else if (a == "--ilt-iterations" && next(v)) {
-            ok = flag_int_min("--ilt-iterations", v, 1, cmp.ilt_iterations);
-        } else if (a == "--train-clips" && next(v)) {
-            ok = flag_int_min("--train-clips", v, 1, cmp.train_clips);
-        } else if (a == "--json" && next(v)) {
-            json_path = v;
-        } else if (a == "--golden" && next(v)) {
-            golden_path = v;
-        } else if (a == "--write-golden" && next(v)) {
-            write_golden_path = v;
-        } else if (a == "--slack" && next(v)) {
-            ok = flag_double_min("--slack", v, 0.0, slack);
-        } else if (a == "--list-scenarios") {
-            list = true;
-        } else if (a == "--quiet") {
-            quiet = true;
-        } else if (a == "--log-level" && next(v)) {
-            obs.log_level = v;
-        } else if (a == "--metrics-json" && next(v)) {
-            obs.metrics_json = v;
-        } else if (a == "--trace" && next(v)) {
-            obs.trace = v;
-        } else {
-            std::fprintf(stderr, "unknown or incomplete argument: %s\n", a.c_str());
-            ok = false;
         }
-        if (!ok) {
-            print_compare_usage();
-            return 2;
-        }
-    }
+        cmp.rewards = std::move(modes);
+        return true;
+    };
+    const std::vector<Flag> flags = with_obs(
+        {
+            custom_flag("--scenarios", "a,b,..", set_list(cmp.scenarios)),
+            custom_flag("--engines", "rule,oneshot,camo,rlopc,ilt", set_list(cmp.engines)),
+            custom_flag("--rewards", "nominal,worst,weighted", set_rewards),
+            int_flag("--clips", cmp.clips, 1),
+            int_flag("--threads", cmp.threads, 1),
+            u64_flag("--seed", cmp.seed),
+            int_flag("--iterations", cmp.max_iterations, 1),
+            int_flag("--ilt-iterations", cmp.ilt_iterations, 1),
+            int_flag("--train-clips", cmp.train_clips, 1),
+            string_flag("--json", json_path),
+            string_flag("--golden", golden_path),
+            string_flag("--write-golden", write_golden_path),
+            double_flag("--slack", slack, 0.0),
+            switch_flag("--list-scenarios", list),
+        },
+        obs);
+    if (!parse_flags(flags, argc, argv, 2)) return usage_exit("camo_cli compare", flags);
     if (list) {
         print_scenarios();
         return 0;
     }
-    if (!apply_obs_options(obs, quiet)) return 2;
+    apply_obs_options(obs);
 
     scenario::CompareResult result;
     try {
@@ -586,11 +396,10 @@ int compare_main(int argc, char** argv) {
         result = comparer.run();
     } catch (const std::exception& e) {
         std::fprintf(stderr, "compare failed: %s\n", e.what());
-        print_compare_usage();
-        return 2;
+        return usage_exit("camo_cli compare", flags);
     }
 
-    if (!quiet) std::printf("%s\n", result.table().c_str());
+    if (!obs.quiet) std::printf("%s\n", result.table().c_str());
     int failed_cells = 0;
     for (const scenario::CellResult& c : result.cells) {
         if (c.failed > 0) ++failed_cells;
@@ -720,36 +529,14 @@ int chipgen_main(int argc, char** argv) {
     int cols = 3;
     int rows = 3;
     int pitch = 0;
-    bool parse_ok = true;
-    for (int i = 2; i < argc && parse_ok; ++i) {
-        const std::string a = argv[i];
-        auto next = [&](std::string& dst) {
-            if (i + 1 >= argc) return false;
-            dst = argv[++i];
-            return true;
-        };
-        std::string v;
-        if (a == "--out" && next(v)) {
-            out = v;
-        } else if (a == "--scenario" && next(v)) {
-            scenario_name = v;
-        } else if (a == "--cols" && next(v)) {
-            parse_ok = flag_int_min("--cols", v, 1, cols);
-        } else if (a == "--rows" && next(v)) {
-            parse_ok = flag_int_min("--rows", v, 1, rows);
-        } else if (a == "--pitch" && next(v)) {
-            parse_ok = flag_int_min("--pitch", v, 0, pitch);
-        } else {
-            std::fprintf(stderr, "unknown or incomplete argument: %s\n", a.c_str());
-            parse_ok = false;
-        }
-    }
-    if (!parse_ok || out.empty()) {
-        std::fprintf(stderr,
-                     "usage: camo_cli chipgen --out chip.gds [--scenario NAME]"
-                     " [--cols N] [--rows N] [--pitch NM]\n");
-        return 2;
-    }
+    const std::vector<Flag> flags = {
+        required(string_flag("--out", out, "chip.gds")),
+        string_flag("--scenario", scenario_name, "NAME"),
+        int_flag("--cols", cols, 1),
+        int_flag("--rows", rows, 1),
+        int_flag("--pitch", pitch, 0, "NM"),
+    };
+    if (!parse_flags(flags, argc, argv, 2)) return usage_exit("camo_cli chipgen", flags);
 
     try {
         const scenario::Scenario sc = scenario::Registry::instance().get(scenario_name);
@@ -785,81 +572,32 @@ struct ShardCliOptions {
     std::uint64_t seed = core::Experiment::kDatasetSeed;
     int iterations = -1;
     bool verify = false;
-    bool quiet = false;
     ObsCliOptions obs;
 };
 
-bool parse_shard_args(int argc, char** argv, ShardCliOptions& o) {
-    for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&](std::string& dst) {
-            if (i + 1 >= argc) return false;
-            dst = argv[++i];
-            return true;
-        };
-        std::string v;
-        if (a == "--in" && next(v)) {
-            o.in = v;
-        } else if (a == "--out" && next(v)) {
-            o.out = v;
-        } else if (a == "--scenario" && next(v)) {
-            o.scenario = v;
-        } else if (a == "--engine" && next(v)) {
-            o.engine = v;
-        } else if (a == "--layer" && next(v)) {
-            if (!flag_int_min("--layer", v, 0, o.layer)) return false;
-        } else if (a == "--cols" && next(v)) {
-            if (!flag_int_min("--cols", v, 1, o.cols)) return false;
-        } else if (a == "--rows" && next(v)) {
-            if (!flag_int_min("--rows", v, 1, o.rows)) return false;
-        } else if (a == "--pitch" && next(v)) {
-            if (!flag_int_min("--pitch", v, 0, o.pitch)) return false;
-        } else if (a == "--tile" && next(v)) {
-            if (!flag_int_min("--tile", v, 1, o.tile_nm)) return false;
-        } else if (a == "--halo" && next(v)) {
-            if (!flag_int_min("--halo", v, 0, o.halo_nm)) return false;
-        } else if (a == "--threads" && next(v)) {
-            if (!flag_int_min("--threads", v, 1, o.threads)) return false;
-        } else if (a == "--queue-capacity" && next(v)) {
-            if (!flag_int_min("--queue-capacity", v, 1, o.queue_capacity)) return false;
-        } else if (a == "--seed" && next(v)) {
-            if (!flag_u64("--seed", v, o.seed)) return false;
-        } else if (a == "--iterations" && next(v)) {
-            if (!flag_int_min("--iterations", v, 1, o.iterations)) return false;
-        } else if (a == "--verify-monolithic") {
-            o.verify = true;
-        } else if (a == "--quiet") {
-            o.quiet = true;
-        } else if (a == "--log-level" && next(v)) {
-            o.obs.log_level = v;
-        } else if (a == "--metrics-json" && next(v)) {
-            o.obs.metrics_json = v;
-        } else if (a == "--trace" && next(v)) {
-            o.obs.trace = v;
-        } else {
-            std::fprintf(stderr, "unknown or incomplete argument: %s\n", a.c_str());
-            return false;
-        }
-    }
-    if (o.engine != "rule" && o.engine != "camo") {
-        std::fprintf(stderr, "--engine: expected rule or camo, got '%s'\n", o.engine.c_str());
-        return false;
-    }
-    return true;
-}
-
 int shard_main(int argc, char** argv) {
     ShardCliOptions cli;
-    if (!parse_shard_args(argc, argv, cli)) {
-        std::fprintf(stderr,
-                     "usage: camo_cli shard [--in chip.gds [--layer N] | --scenario NAME"
-                     " --cols N --rows N [--pitch NM]] [--tile NM] [--halo NM]"
-                     " [--engine rule|camo] [--threads N] [--queue-capacity N] [--seed S]"
-                     " [--iterations N] [--out mask.gds] [--verify-monolithic] [--quiet]"
-                     " [--log-level quiet|info|debug] [--metrics-json PATH] [--trace PATH]\n");
-        return 2;
-    }
-    if (!apply_obs_options(cli.obs, cli.quiet)) return 2;
+    const std::vector<Flag> flags = with_obs(
+        {
+            string_flag("--in", cli.in, "chip.gds"),
+            int_flag("--layer", cli.layer, 0),
+            string_flag("--scenario", cli.scenario, "NAME"),
+            int_flag("--cols", cli.cols, 1),
+            int_flag("--rows", cli.rows, 1),
+            int_flag("--pitch", cli.pitch, 0, "NM"),
+            int_flag("--tile", cli.tile_nm, 1, "NM"),
+            int_flag("--halo", cli.halo_nm, 0, "NM"),
+            choice_flag("--engine", cli.engine, {"rule", "camo"}),
+            int_flag("--threads", cli.threads, 1),
+            int_flag("--queue-capacity", cli.queue_capacity, 1),
+            u64_flag("--seed", cli.seed),
+            int_flag("--iterations", cli.iterations, 1),
+            string_flag("--out", cli.out, "mask.gds"),
+            switch_flag("--verify-monolithic", cli.verify),
+        },
+        cli.obs);
+    if (!parse_flags(flags, argc, argv, 2)) return usage_exit("camo_cli shard", flags);
+    apply_obs_options(cli.obs);
 
     try {
         const scenario::Scenario sc = scenario::Registry::instance().get(cli.scenario);
@@ -1000,73 +738,28 @@ struct ServeCliOptions {
     int queue_stream = 64;  ///< worker->sink queue inside each request
     std::uint64_t seed = core::Experiment::kDatasetSeed;
     int iterations = -1;
-    bool quiet = false;
     ObsCliOptions obs;
 };
 
-bool parse_serve_args(int argc, char** argv, ServeCliOptions& o) {
-    for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&](std::string& dst) {
-            if (i + 1 >= argc) return false;
-            dst = argv[++i];
-            return true;
-        };
-        std::string v;
-        if (a == "--requests" && next(v)) {
-            if (!flag_int_min("--requests", v, 0, o.requests)) return false;
-        } else if (a == "--clips" && next(v)) {
-            if (!flag_int_min("--clips", v, 1, o.clips_per_request)) return false;
-        } else if (a == "--queue-capacity" && next(v)) {
-            if (!flag_int_min("--queue-capacity", v, 1, o.queue_capacity)) return false;
-        } else if (a == "--priority-levels" && next(v)) {
-            if (!flag_int_min("--priority-levels", v, 1, o.priority_levels)) return false;
-        } else if (a == "--deadline-s" && next(v)) {
-            if (!flag_double_min("--deadline-s", v, 0.0, o.deadline_s)) return false;
-        } else if (a == "--scenario" && next(v)) {
-            o.scenario = v;
-        } else if (a == "--engine" && next(v)) {
-            o.engine = v;
-        } else if (a == "--threads" && next(v)) {
-            if (!flag_int_min("--threads", v, 1, o.threads)) return false;
-        } else if (a == "--stream-queue" && next(v)) {
-            if (!flag_int_min("--stream-queue", v, 1, o.queue_stream)) return false;
-        } else if (a == "--seed" && next(v)) {
-            if (!flag_u64("--seed", v, o.seed)) return false;
-        } else if (a == "--iterations" && next(v)) {
-            if (!flag_int_min("--iterations", v, 1, o.iterations)) return false;
-        } else if (a == "--quiet") {
-            o.quiet = true;
-        } else if (a == "--log-level" && next(v)) {
-            o.obs.log_level = v;
-        } else if (a == "--metrics-json" && next(v)) {
-            o.obs.metrics_json = v;
-        } else if (a == "--trace" && next(v)) {
-            o.obs.trace = v;
-        } else {
-            std::fprintf(stderr, "unknown or incomplete argument: %s\n", a.c_str());
-            return false;
-        }
-    }
-    if (o.engine != "rule" && o.engine != "camo") {
-        std::fprintf(stderr, "--engine: expected rule or camo, got '%s'\n", o.engine.c_str());
-        return false;
-    }
-    return true;
-}
-
 int serve_main(int argc, char** argv) {
     ServeCliOptions cli;
-    if (!parse_serve_args(argc, argv, cli)) {
-        std::fprintf(stderr,
-                     "usage: camo_cli serve [--requests N] [--clips N] [--queue-capacity N]"
-                     " [--priority-levels N] [--deadline-s X] [--scenario NAME]"
-                     " [--engine rule|camo] [--threads N] [--stream-queue N] [--seed S]"
-                     " [--iterations N] [--quiet] [--log-level quiet|info|debug]"
-                     " [--metrics-json PATH] [--trace PATH]\n");
-        return 2;
-    }
-    if (!apply_obs_options(cli.obs, cli.quiet)) return 2;
+    const std::vector<Flag> flags = with_obs(
+        {
+            int_flag("--requests", cli.requests, 0),
+            int_flag("--clips", cli.clips_per_request, 1),
+            int_flag("--queue-capacity", cli.queue_capacity, 1),
+            int_flag("--priority-levels", cli.priority_levels, 1),
+            double_flag("--deadline-s", cli.deadline_s, 0.0),
+            string_flag("--scenario", cli.scenario, "NAME"),
+            choice_flag("--engine", cli.engine, {"rule", "camo"}),
+            int_flag("--threads", cli.threads, 1),
+            int_flag("--stream-queue", cli.queue_stream, 1),
+            u64_flag("--seed", cli.seed),
+            int_flag("--iterations", cli.iterations, 1),
+        },
+        cli.obs);
+    if (!parse_flags(flags, argc, argv, 2)) return usage_exit("camo_cli serve", flags);
+    apply_obs_options(cli.obs);
 
     try {
         const scenario::Scenario sc = scenario::Registry::instance().get(cli.scenario);
@@ -1159,7 +852,6 @@ struct StoreCliOptions {
     std::string weights;     ///< train --weights
     std::string stats_json;
     bool in_memory = false;  ///< train: collect in-process instead of replaying
-    bool quiet = false;
     ObsCliOptions obs;
 };
 
@@ -1202,88 +894,32 @@ std::vector<geo::SegmentedLayout> build_store_clips(const std::string& style, st
     return core::fragment_metal_clips(raw);
 }
 
-bool parse_store_args(int argc, char** argv, bool train_mode, StoreCliOptions& o) {
-    for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&](std::string& dst) {
-            if (i + 1 >= argc) return false;
-            dst = argv[++i];
-            return true;
+/// Flag table for collect (`train_mode` false) or train.
+std::vector<Flag> store_flags(bool train_mode, StoreCliOptions& o) {
+    std::vector<Flag> flags;
+    if (train_mode) {
+        flags = {
+            required(string_flag("--from-store", o.store_path, "store.ctrj")),
+            required(string_flag("--weights", o.weights, "out.bin")),
+            int_flag("--epochs", o.epochs, 1),
+            switch_flag("--in-memory", o.in_memory),
         };
-        std::string v;
-        if (!train_mode && a == "--out" && next(v)) {
-            o.store_path = v;
-        } else if (train_mode && a == "--from-store" && next(v)) {
-            o.store_path = v;
-        } else if (train_mode && a == "--weights" && next(v)) {
-            o.weights = v;
-        } else if (train_mode && a == "--epochs" && next(v)) {
-            if (!flag_int_min("--epochs", v, 1, o.epochs)) return false;
-        } else if (train_mode && a == "--in-memory") {
-            o.in_memory = true;
-        } else if (a == "--style" && next(v)) {
-            o.style = v;
-        } else if (a == "--clips" && next(v)) {
-            if (!flag_int_min("--clips", v, 1, o.clips)) return false;
-        } else if (a == "--train-workers" && next(v)) {
-            if (!flag_int("--train-workers", v, o.train_workers)) return false;
-        } else if (a == "--seed" && next(v)) {
-            if (!flag_u64("--seed", v, o.seed)) return false;
-        } else if (a == "--stats-json" && next(v)) {
-            o.stats_json = v;
-        } else if (a == "--quiet") {
-            o.quiet = true;
-        } else if (a == "--log-level" && next(v)) {
-            o.obs.log_level = v;
-        } else if (a == "--metrics-json" && next(v)) {
-            o.obs.metrics_json = v;
-        } else if (a == "--trace" && next(v)) {
-            o.obs.trace = v;
-        } else {
-            std::fprintf(stderr, "unknown or incomplete argument: %s\n", a.c_str());
-            return false;
-        }
+    } else {
+        flags = {required(string_flag("--out", o.store_path, "store.ctrj"))};
     }
-    if (o.style != "via" && o.style != "metal") {
-        std::fprintf(stderr, "--style: expected via or metal, got '%s'\n", o.style.c_str());
-        return false;
-    }
-    if (o.store_path.empty()) {
-        std::fprintf(stderr, train_mode ? "train: --from-store PATH is required\n"
-                                        : "collect: --out PATH is required\n");
-        return false;
-    }
-    if (train_mode && o.weights.empty()) {
-        std::fprintf(stderr, "train: --weights PATH is required\n");
-        return false;
-    }
-    return true;
-}
-
-void print_collect_usage() {
-    std::fprintf(stderr,
-                 "usage: camo_cli collect --out store.ctrj [--style via|metal] [--clips N]\n"
-                 "                [--train-workers N] [--seed S] [--stats-json PATH]\n"
-                 "                [--quiet] [--log-level L] [--metrics-json PATH]"
-                 " [--trace PATH]\n");
-}
-
-void print_train_usage() {
-    std::fprintf(stderr,
-                 "usage: camo_cli train --from-store store.ctrj --weights out.bin\n"
-                 "                [--style via|metal] [--clips N] [--epochs N]\n"
-                 "                [--train-workers N] [--seed S] [--in-memory]\n"
-                 "                [--stats-json PATH] [--quiet] [--log-level L]\n"
-                 "                [--metrics-json PATH] [--trace PATH]\n");
+    flags.push_back(choice_flag("--style", o.style, {"via", "metal"}));
+    flags.push_back(int_flag("--clips", o.clips, 1));
+    flags.push_back(int_flag("--train-workers", o.train_workers));
+    flags.push_back(u64_flag("--seed", o.seed));
+    flags.push_back(string_flag("--stats-json", o.stats_json));
+    return with_obs(std::move(flags), o.obs);
 }
 
 int collect_main(int argc, char** argv) {
     StoreCliOptions cli;
-    if (!parse_store_args(argc, argv, /*train_mode=*/false, cli)) {
-        print_collect_usage();
-        return 2;
-    }
-    if (!apply_obs_options(cli.obs, cli.quiet)) return 2;
+    const std::vector<Flag> flags = store_flags(/*train_mode=*/false, cli);
+    if (!parse_flags(flags, argc, argv, 2)) return usage_exit("camo_cli collect", flags);
+    apply_obs_options(cli.obs);
     try {
         core::CamoConfig cfg =
             cli.style == "via" ? core::Experiment::via_camo_config()
@@ -1333,11 +969,9 @@ int collect_main(int argc, char** argv) {
 
 int train_main(int argc, char** argv) {
     StoreCliOptions cli;
-    if (!parse_store_args(argc, argv, /*train_mode=*/true, cli)) {
-        print_train_usage();
-        return 2;
-    }
-    if (!apply_obs_options(cli.obs, cli.quiet)) return 2;
+    const std::vector<Flag> flags = store_flags(/*train_mode=*/true, cli);
+    if (!parse_flags(flags, argc, argv, 2)) return usage_exit("camo_cli train", flags);
+    apply_obs_options(cli.obs);
     try {
         core::CamoConfig cfg =
             cli.style == "via" ? core::Experiment::via_camo_config()
@@ -1456,16 +1090,22 @@ int main(int argc, char** argv) {
     }
 
     CliOptions cli;
-    if (!parse_args(argc, argv, cli)) {
-        std::fprintf(stderr,
-                     "usage: camo_cli --in layout.gds --out result.gds"
-                     " [--engine rule|oneshot|camo] [--style via|metal] [--layer N]"
-                     " [--clip N] [--iterations N] [--train-workers N]"
-                     " [--reward-mode nominal|worst|weighted] [--window] [--quiet]"
-                     " [--log-level quiet|info|debug] [--metrics-json PATH] [--trace PATH]\n");
-        return 2;
-    }
-    if (!apply_obs_options(cli.obs, cli.quiet)) return 2;
+    const std::vector<Flag> flags = with_obs(
+        {
+            required(string_flag("--in", cli.in, "layout.gds")),
+            required(string_flag("--out", cli.out, "result.gds")),
+            choice_flag("--engine", cli.engine, {"rule", "oneshot", "camo"}),
+            choice_flag("--style", cli.style, {"via", "metal"}),
+            int_flag("--layer", cli.layer, 0),
+            int_flag("--clip", cli.clip_nm, 1),
+            int_flag("--iterations", cli.iterations, 1),
+            int_flag("--train-workers", cli.train_workers),
+            reward_mode_flag(cli.reward_mode),
+            switch_flag("--window", cli.window),
+        },
+        cli.obs);
+    if (!parse_flags(flags, argc, argv, 1)) return usage_exit("camo_cli", flags);
+    apply_obs_options(cli.obs);
 
     // Load targets.
     layout::GdsLibrary lib;
@@ -1504,7 +1144,7 @@ int main(int argc, char** argv) {
     } else if (cli.engine == "oneshot") {
         opc::OneShotEngine engine;
         res = engine.optimize(layout, sim, opt);
-    } else if (cli.engine == "camo") {
+    } else {
         core::CamoConfig cfg = via_style ? core::Experiment::via_camo_config()
                                          : core::Experiment::metal_camo_config();
         cfg.train_workers = cli.train_workers;
@@ -1519,9 +1159,6 @@ int main(int argc, char** argv) {
         core::ensure_trained(engine, train, sim, opt,
                              core::Experiment::weights_path(cfg, tag, cli.reward_mode));
         res = engine.optimize(layout, sim, opt);
-    } else {
-        std::fprintf(stderr, "unknown engine: %s\n", cli.engine.c_str());
-        return 2;
     }
 
     std::printf("%d segments, %d iterations: sum|EPE| %.1f -> %.1f nm, PVB %.0f nm^2, %.2f s\n",

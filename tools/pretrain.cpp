@@ -12,8 +12,8 @@
 // (observational only: weights stay bit-identical) and write the registry
 // snapshot / Chrome trace on exit.
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/logging.hpp"
 #include "common/parse.hpp"
@@ -42,42 +42,19 @@ void train_one(core::CamoConfig cfg, int train_workers, const std::string& tag,
 
 int main(int argc, char** argv) {
     int train_workers = 1;
+    std::string log_level = "info";
     std::string metrics_json;
     std::string trace;
+    const std::vector<Flag> flags = {
+        int_flag("--train-workers", train_workers),
+        choice_flag("--log-level", log_level, {"quiet", "info", "debug"}),
+        string_flag("--metrics-json", metrics_json),
+        string_flag("--trace", trace),
+    };
     LogLevel level = LogLevel::kInfo;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--train-workers") == 0 && i + 1 < argc) {
-            // Checked parse: atoi would turn garbage into 0 (= all hardware
-            // threads) and silently over-subscribe the machine.
-            const std::string v = argv[++i];
-            if (!camo::parse_int(v, train_workers)) {
-                std::fprintf(stderr, "--train-workers: expected an integer, got '%s'\n",
-                             v.c_str());
-                return 2;
-            }
-        } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
-            metrics_json = argv[++i];
-        } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-            trace = argv[++i];
-        } else if (std::strcmp(argv[i], "--log-level") == 0 && i + 1 < argc) {
-            const std::string v = argv[++i];
-            if (v == "quiet") {
-                level = LogLevel::kQuiet;
-            } else if (v == "info") {
-                level = LogLevel::kInfo;
-            } else if (v == "debug") {
-                level = LogLevel::kDebug;
-            } else {
-                std::fprintf(stderr, "unknown log level: %s\n", v.c_str());
-                return 2;
-            }
-        } else {
-            std::fprintf(stderr,
-                         "usage: pretrain [--train-workers N]"
-                         " [--log-level quiet|info|debug]"
-                         " [--metrics-json PATH] [--trace PATH]\n");
-            return 2;
-        }
+    if (!parse_flags(flags, argc, argv, 1) || !parse_log_level(log_level, level)) {
+        std::fputs(flag_usage("pretrain", flags).c_str(), stderr);
+        return 2;
     }
 
     set_log_level(level);
