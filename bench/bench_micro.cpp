@@ -94,8 +94,8 @@ void BM_FullEvaluate(benchmark::State& state) {
 BENCHMARK(BM_FullEvaluate);
 
 // ---- Incremental vs full evaluation ----------------------------------------
-// One metal clip (84 segments at the 60 nm pitch), swept over the dirty-set
-// size. Arg = percent of segments moved per evaluation; Arg 0 = the full
+// One metal clip (84 segments at the 60 nm pitch), swept over the number of
+// segments moved per evaluation. Arg = percent of segments moved per evaluation; Arg 0 = the full
 // evaluate() baseline on the same layout. The speedup table is the ratio of
 // the Arg 0 row to each incremental row.
 
@@ -128,27 +128,24 @@ void BM_IncrementalEvaluate(benchmark::State& state) {
     litho::LithoSim sim(shared_sim());  // private incremental cache
     const geo::SegmentedLayout& layout = incremental_bench_layout();
     const int segments = layout.num_segments();
-    const int dirty_count =
+    const int move_count =
         std::max(1, segments * static_cast<int>(state.range(0)) / 100);
 
     std::vector<int> offsets(static_cast<std::size_t>(segments), 2);
-    benchmark::DoNotOptimize(sim.evaluate_incremental(layout, offsets).sum_abs_epe);
+    benchmark::DoNotOptimize(
+        sim.evaluate_incremental(layout, offsets, litho::Cache::kPrime).sum_abs_epe);
 
     int cursor = 0;
     int sign = 1;
     for (auto _ : state) {
-        std::vector<int> dirty;
-        dirty.reserve(static_cast<std::size_t>(dirty_count));
-        for (int j = 0; j < dirty_count; ++j) {
-            const int i = cursor++ % segments;
-            offsets[static_cast<std::size_t>(i)] += sign;
-            dirty.push_back(i);
+        for (int j = 0; j < move_count; ++j) {
+            offsets[static_cast<std::size_t>(cursor++ % segments)] += sign;
         }
         if (cursor >= segments) {
             cursor = 0;
             sign = -sign;  // walk offsets back so they stay bounded
         }
-        const litho::SimMetrics m = sim.evaluate_incremental(layout, offsets, dirty);
+        const litho::SimMetrics m = sim.evaluate_incremental(layout, offsets, litho::Cache::kReuse);
         benchmark::DoNotOptimize(m.sum_abs_epe);
     }
     state.counters["hit_rate"] = benchmark::Counter(
@@ -201,7 +198,8 @@ void BM_WindowSweepIncremental(benchmark::State& state) {
     const litho::WindowSpec spec = litho::WindowSpec::standard(sim.config());
     const int segments = layout.num_segments();
     std::vector<int> offsets(static_cast<std::size_t>(segments), 2);
-    benchmark::DoNotOptimize(sim.evaluate_incremental(layout, offsets).sum_abs_epe);
+    benchmark::DoNotOptimize(
+        sim.evaluate_incremental(layout, offsets, litho::Cache::kPrime).sum_abs_epe);
 
     // One segment moves per sweep: the OPC-loop scenario where each window
     // evaluation reuses the cached raster + spectrum via one sparse delta.
@@ -213,7 +211,8 @@ void BM_WindowSweepIncremental(benchmark::State& state) {
             cursor = 0;
             sign = -sign;  // walk offsets back so they stay bounded
         }
-        const litho::WindowMetrics w = sim.evaluate_window_incremental(layout, offsets, spec);
+        const litho::WindowMetrics w =
+            sim.evaluate_window_incremental(layout, offsets, spec, litho::Cache::kReuse);
         benchmark::DoNotOptimize(w.worst_epe);
     }
 }
@@ -231,19 +230,18 @@ void BM_RewardNominalStep(benchmark::State& state) {
     const geo::SegmentedLayout& layout = incremental_bench_layout();
     const int segments = layout.num_segments();
     std::vector<int> offsets(static_cast<std::size_t>(segments), 2);
-    litho::SimMetrics m = sim.evaluate_incremental(layout, offsets);
+    litho::SimMetrics m = sim.evaluate_incremental(layout, offsets, litho::Cache::kPrime);
 
     int cursor = 0;
     int sign = 1;
     for (auto _ : state) {
-        const int i = cursor++ % segments;
-        offsets[static_cast<std::size_t>(i)] += sign;
+        offsets[static_cast<std::size_t>(cursor++ % segments)] += sign;
         if (cursor >= segments) {
             cursor = 0;
             sign = -sign;  // walk offsets back so they stay bounded
         }
-        const std::vector<int> dirty{i};
-        const litho::SimMetrics m2 = sim.evaluate_incremental(layout, offsets, dirty);
+        const litho::SimMetrics m2 =
+            sim.evaluate_incremental(layout, offsets, litho::Cache::kReuse);
         const double r =
             rl::step_reward(m.sum_abs_epe, m2.sum_abs_epe, m.pvband_nm2, m2.pvband_nm2);
         benchmark::DoNotOptimize(r);
@@ -260,7 +258,8 @@ void BM_RewardWorstCornerStep(benchmark::State& state) {
     reward.mode = rl::RewardMode::kWorstCorner;
     const int segments = layout.num_segments();
     std::vector<int> offsets(static_cast<std::size_t>(segments), 2);
-    litho::WindowMetrics w = sim.evaluate_window_prime(layout, offsets, spec);
+    litho::WindowMetrics w =
+        sim.evaluate_window_incremental(layout, offsets, spec, litho::Cache::kPrime);
 
     int cursor = 0;
     int sign = 1;
@@ -270,7 +269,8 @@ void BM_RewardWorstCornerStep(benchmark::State& state) {
             cursor = 0;
             sign = -sign;  // walk offsets back so they stay bounded
         }
-        const litho::WindowMetrics w2 = sim.evaluate_window_incremental(layout, offsets, spec);
+        const litho::WindowMetrics w2 =
+            sim.evaluate_window_incremental(layout, offsets, spec, litho::Cache::kReuse);
         const double r = rl::window_step_reward(w, w2, reward);
         benchmark::DoNotOptimize(r);
         w = w2;

@@ -44,20 +44,11 @@ obs::MetricId reduction_counter() {
     return id;
 }
 
-// Applies the chosen actions and returns the indices whose offset actually
-// changed (no-move actions and clamped moves stay clean) — the dirty set for
-// incremental lithography evaluation.
-std::vector<int> apply_actions(std::vector<int>& offsets, const std::vector<int>& actions,
-                               int bound) {
-    std::vector<int> dirty;
+// Applies the chosen actions, clamping each total offset into +/- bound.
+void apply_actions(std::vector<int>& offsets, const std::vector<int>& actions, int bound) {
     for (std::size_t i = 0; i < offsets.size(); ++i) {
-        const int next = std::clamp(offsets[i] + rl::action_to_move(actions[i]), -bound, bound);
-        if (next != offsets[i]) {
-            offsets[i] = next;
-            dirty.push_back(static_cast<int>(i));
-        }
+        offsets[i] = std::clamp(offsets[i] + rl::action_to_move(actions[i]), -bound, bound);
     }
-    return dirty;
 }
 
 std::array<double, rl::kNumActions> node_probs(const nn::Tensor& logits, int node) {
@@ -213,9 +204,11 @@ opc::EngineResult CamoEngine::infer(const geo::SegmentedLayout& layout, litho::L
     std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()),
                              opt.initial_bias_nm);
     // First evaluation primes the per-clip incremental cache; iterations then
-    // re-evaluate only what the actions touched (nominal mode: the dirty-set
-    // path; window modes: one cached-spectrum sweep serving every corner).
-    litho::SimMetrics m = objective.prime(sim, layout, offsets, &res.final_window);
+    // re-evaluate only what the actions touched (nominal mode: the sparse
+    // delta path; window modes: one cached-spectrum sweep serving every
+    // corner).
+    litho::SimMetrics m =
+        objective.evaluate(sim, layout, offsets, litho::Cache::kPrime, &res.final_window);
     res.epe_history.push_back(m.sum_abs_epe);
     res.pvb_history.push_back(m.pvband_nm2);
 
@@ -232,8 +225,8 @@ opc::EngineResult CamoEngine::infer(const geo::SegmentedLayout& layout, litho::L
         const nn::Tensor logits = policy_.infer(feats, graph);
         const auto actions = pick_actions(logits, m.epe_segment, cfg_.modulator, rng);
 
-        const auto dirty = apply_actions(offsets, actions, opt.max_total_offset_nm);
-        m = objective.evaluate(sim, layout, offsets, dirty, &res.final_window);
+        apply_actions(offsets, actions, opt.max_total_offset_nm);
+        m = objective.evaluate(sim, layout, offsets, litho::Cache::kReuse, &res.final_window);
         res.epe_history.push_back(m.sum_abs_epe);
         res.pvb_history.push_back(m.pvband_nm2);
         ++res.iterations;
@@ -568,7 +561,8 @@ double CamoEngine::run_phase2_episode(const std::vector<geo::SegmentedLayout>& c
         if (layout.num_segments() == 0) continue;  // degenerate clip: no rollout
         ClipState& s = st[c];
         s.offsets.assign(static_cast<std::size_t>(layout.num_segments()), opt.initial_bias_nm);
-        s.m = objective.prime(clip_sims[c], layout, s.offsets, &s.window_before);
+        s.m = objective.evaluate(clip_sims[c], layout, s.offsets, litho::Cache::kPrime,
+                                 &s.window_before);
         s.features = static_cast<int>(layout.targets().size());
         s.points = static_cast<int>(s.m.epe.size());
         s.rng.emplace(derive_seed(episode_seed, static_cast<std::uint64_t>(c)));
@@ -605,9 +599,9 @@ double CamoEngine::run_phase2_episode(const std::vector<geo::SegmentedLayout>& c
             const nn::Tensor logits = net.forward(feats, graphs[c]);
             const auto actions = pick_actions(logits, s.m.epe_segment, cfg_.modulator, &*s.rng);
 
-            const auto dirty = apply_actions(s.offsets, actions, opt.max_total_offset_nm);
-            const litho::SimMetrics m2 =
-                objective.evaluate(clip_sims[c], layout, s.offsets, dirty, &s.window_after);
+            apply_actions(s.offsets, actions, opt.max_total_offset_nm);
+            const litho::SimMetrics m2 = objective.evaluate(clip_sims[c], layout, s.offsets,
+                                                            litho::Cache::kReuse, &s.window_after);
             const double r =
                 objective.active()
                     ? rl::window_step_reward(*s.window_before, *s.window_after,

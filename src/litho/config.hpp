@@ -53,11 +53,6 @@ struct LithoConfig {
     /// is clamped to +/- this value when no contour crossing is found.
     double epe_range_nm = 20.0;
 
-    /// evaluate_incremental() falls back to a full rebuild when more than
-    /// this fraction of the segments moved since the previous call (the
-    /// sparse delta-DFT stops paying off). Not part of the physics hash.
-    double incremental_fallback_fraction = 0.3;
-
     /// Directory for the SOCS kernel cache ("" disables caching).
     std::string cache_dir = "data";
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <numbers>
 #include <stdexcept>
 
@@ -40,6 +39,21 @@ obs::MetricId focus_plane_hist() {
     // idempotent per name): one histogram covers dense and cached sweeps.
     static const obs::MetricId id = obs::register_histogram("window.focus_plane.ns");
     return id;
+}
+
+// Returns `plane` if its support is the nominal one, frequency for
+// frequency: the cached spectrum is indexed by that one support, so a plane
+// sampling other frequencies cannot be served from it.
+const KernelSet& require_support(const KernelSet& plane, const std::vector<FreqIndex>& support) {
+    const auto same = [](const FreqIndex& a, const FreqIndex& b) {
+        return a.kx == b.kx && a.ky == b.ky;
+    };
+    if (!std::equal(plane.support.begin(), plane.support.end(), support.begin(), support.end(),
+                    same)) {
+        throw std::invalid_argument(
+            "IncrementalEvaluator: focus plane support differs from the nominal support");
+    }
+    return plane;
 }
 
 // FNV-1a over the layout geometry that determines the cached raster: target
@@ -185,36 +199,23 @@ IncrementalEvaluator::IncrementalEvaluator(const LithoConfig& cfg, double thresh
                                            const KernelSet& nominal, const KernelSet& defocus)
     : cfg_(cfg),
       threshold_(threshold),
+      support_(nominal.support),
       nominal_(nominal, cfg.grid),
-      defocus_(defocus, cfg.grid) {
+      defocus_(require_support(defocus, support_), cfg.grid) {
     const int n = cfg_.grid;
-
-    // Union of both supports with per-condition gather maps. The two
-    // conditions share the pupil support disk, so the union is typically
-    // identical to either, but nothing below assumes it. Extra focus planes
-    // of a window sweep extend the union lazily through union_index().
-    auto add_support = [&](const KernelSet& ks, std::vector<int>& map) {
-        map.reserve(ks.support.size());
-        for (const FreqIndex& f : ks.support) {
-            const auto [it, inserted] = union_lookup_.try_emplace(
-                {f.kx, f.ky}, static_cast<int>(union_kx_.size()));
-            if (inserted) {
-                union_kx_.push_back(wrap(f.kx, n));
-                union_ky_.push_back(wrap(f.ky, n));
-                union_pos_.push_back(wrap(f.ky, n) * n + wrap(f.kx, n));
-            }
-            map.push_back(it->second);
-        }
-    };
-    add_support(nominal, map_nominal_);
-    add_support(defocus, map_defocus_);
+    support_kx_.reserve(support_.size());
+    support_ky_.reserve(support_.size());
+    for (const FreqIndex& f : support_) {
+        support_kx_.push_back(wrap(f.kx, n));
+        support_ky_.push_back(wrap(f.ky, n));
+    }
 
     twiddle_.resize(static_cast<std::size_t>(n));
     for (int t = 0; t < n; ++t) {
         const double ang = -2.0 * std::numbers::pi * t / n;
         twiddle_[static_cast<std::size_t>(t)] = {std::cos(ang), std::sin(ang)};
     }
-    spectrum_.assign(union_kx_.size(), {});
+    spectrum_.assign(support_.size(), {});
 }
 
 geo::Polygon IncrementalEvaluator::translated_polygon(const geo::SegmentedLayout& layout, int p,
@@ -257,6 +258,7 @@ void IncrementalEvaluator::rebuild_cache(const geo::SegmentedLayout& layout,
 
     layout_key_ = layout_fingerprint(layout);
     cache_valid_ = true;
+    metrics_stale_ = true;
     clip_size_nm_ = layout.clip_size_nm();
     clip_offset_ = cfg_.clip_frame_offset_nm(clip_size_nm_);
     offsets_.assign(offsets.begin(), offsets.end());
@@ -288,8 +290,9 @@ void IncrementalEvaluator::rebuild_cache(const geo::SegmentedLayout& layout,
     std::vector<Complex> grid(nn);
     for (std::size_t i = 0; i < nn; ++i) grid[i] = Complex(clamped_[i], 0.0F);
     fft2d_forward(grid, n);
-    for (std::size_t j = 0; j < union_pos_.size(); ++j) {
-        const Complex v = grid[static_cast<std::size_t>(union_pos_[j])];
+    for (std::size_t j = 0; j < spectrum_.size(); ++j) {
+        const Complex v = grid[static_cast<std::size_t>(support_ky_[j]) * n +
+                               static_cast<std::size_t>(support_kx_[j])];
         spectrum_[j] = {static_cast<double>(v.real()), static_cast<double>(v.imag())};
     }
 }
@@ -328,9 +331,9 @@ void IncrementalEvaluator::apply_polygon_delta(const geo::Polygon& old_poly,
 void IncrementalEvaluator::update_spectrum(const std::vector<PixelDelta>& deltas) {
     const obs::Span span("litho.delta_dft", delta_dft_hist());
     const int n = cfg_.grid;
-    const std::size_t freqs = union_kx_.size();
-    const int* kx = union_kx_.data();
-    const int* ky = union_ky_.data();
+    const std::size_t freqs = spectrum_.size();
+    const int* kx = support_kx_.data();
+    const int* ky = support_ky_.data();
     std::complex<double>* spec = spectrum_.data();
     for (const PixelDelta& p : deltas) {
         // S[kx, ky] += d * exp(-2*pi*i*(kx*col + ky*row)/n), the same sign
@@ -342,102 +345,50 @@ void IncrementalEvaluator::update_spectrum(const std::vector<PixelDelta>& deltas
     }
 }
 
-geo::Raster IncrementalEvaluator::aerial_from_cache(const SupportApplicator& applicator,
-                                                    const std::vector<int>& map) const {
-    std::vector<Complex> vals(map.size());
-    for (std::size_t i = 0; i < map.size(); ++i) {
-        const std::complex<double>& v = spectrum_[static_cast<std::size_t>(map[i])];
-        vals[i] = {static_cast<float>(v.real()), static_cast<float>(v.imag())};
+std::vector<Complex> IncrementalEvaluator::support_values() const {
+    std::vector<Complex> vals(spectrum_.size());
+    for (std::size_t i = 0; i < spectrum_.size(); ++i) {
+        vals[i] = {static_cast<float>(spectrum_[i].real()),
+                   static_cast<float>(spectrum_[i].imag())};
     }
-    return applicator.apply(vals, cfg_.pixel_nm);
+    return vals;
 }
 
 SimMetrics IncrementalEvaluator::metrics_from_cache(const geo::SegmentedLayout& layout) const {
-    const geo::Raster nom = aerial_from_cache(nominal_, map_nominal_);
-    const geo::Raster def = aerial_from_cache(defocus_, map_defocus_);
+    const std::vector<Complex> vals = support_values();
+    const geo::Raster nom = nominal_.apply(vals, cfg_.pixel_nm);
+    const geo::Raster def = defocus_.apply(vals, cfg_.pixel_nm);
     return compute_sim_metrics(layout, nom, def, threshold_, clip_offset_, cfg_.epe_range_nm,
                                cfg_.dose_min, cfg_.dose_max);
 }
 
-int IncrementalEvaluator::union_index(int kx, int ky) {
-    const auto [it, inserted] =
-        union_lookup_.try_emplace({kx, ky}, static_cast<int>(union_kx_.size()));
-    if (!inserted) return it->second;
-
-    // A focus plane introduced a frequency the standard supports lack
-    // (cannot happen with the cfg-only pupil support, but stays correct if
-    // the optics model ever grows focus-dependent supports): extend the
-    // union and, when a mask is cached, fill the new spectrum entry by a
-    // direct DFT over the clamped coverage. Later sparse updates then keep
-    // it current like every other entry.
-    const int n = cfg_.grid;
-    union_kx_.push_back(wrap(kx, n));
-    union_ky_.push_back(wrap(ky, n));
-    union_pos_.push_back(wrap(ky, n) * n + wrap(kx, n));
-
-    std::complex<double> val{0.0, 0.0};
-    if (cache_valid_) {
-        const int wkx = union_kx_.back();
-        const int wky = union_ky_.back();
-        for (int r = 0; r < n; ++r) {
-            for (int c = 0; c < n; ++c) {
-                const float m = clamped_[static_cast<std::size_t>(r) * n + c];
-                if (m == 0.0F) continue;
-                const int t = (wkx * c + wky * r) % n;
-                val += static_cast<double>(m) * twiddle_[static_cast<std::size_t>(t)];
-            }
-        }
+const SupportApplicator& IncrementalEvaluator::plane_for(double defocus_nm) {
+    if (std::abs(defocus_nm) < kFocusMatchTolNm) return nominal_;
+    if (std::abs(defocus_nm - cfg_.defocus_nm) < kFocusMatchTolNm) return defocus_;
+    for (const FocusPlane& plane : extra_planes_) {
+        if (std::abs(plane.defocus_nm - defocus_nm) < kFocusMatchTolNm) return plane.applicator;
     }
-    spectrum_.push_back(val);
-    return it->second;
-}
-
-std::pair<const SupportApplicator*, const std::vector<int>*> IncrementalEvaluator::plane_for(
-    double defocus_nm) {
-    if (std::abs(defocus_nm) < kFocusMatchTolNm) return {&nominal_, &map_nominal_};
-    if (std::abs(defocus_nm - cfg_.defocus_nm) < kFocusMatchTolNm) {
-        return {&defocus_, &map_defocus_};
-    }
-    for (const auto& plane : extra_planes_) {
-        if (std::abs(plane->defocus_nm - defocus_nm) < kFocusMatchTolNm) {
-            return {&plane->applicator, &plane->map};
-        }
-    }
-
     const auto applicator = acquire_focus_applicator(cfg_, defocus_nm);
-    const KernelSet& ks = applicator->kernels();
-    std::vector<int> map;
-    map.reserve(ks.support.size());
-    for (const FreqIndex& f : ks.support) map.push_back(union_index(f.kx, f.ky));
-    extra_planes_.push_back(std::make_unique<FocusPlane>(
-        defocus_nm, SupportApplicator(ks, cfg_.grid), std::move(map)));
-    return {&extra_planes_.back()->applicator, &extra_planes_.back()->map};
+    extra_planes_.push_back(
+        {defocus_nm, SupportApplicator(require_support(applicator->kernels(), support_),
+                                       cfg_.grid)});
+    return extra_planes_.back().applicator;
 }
 
-SimMetrics IncrementalEvaluator::evaluate_full(const geo::SegmentedLayout& layout,
-                                               std::span<const int> offsets) {
-    if (static_cast<int>(offsets.size()) != layout.num_segments()) {
-        throw std::invalid_argument("evaluate_full: offsets size mismatch");
-    }
-    rebuild_cache(layout, offsets);
-    metrics_ = metrics_from_cache(layout);
-    ++full_count_;
-    obs::counter_add(fulls_counter());
-    return metrics_;
-}
-
-IncrementalEvaluator::CacheUpdate IncrementalEvaluator::refresh_cache(
-    const geo::SegmentedLayout& layout, std::span<const int> offsets) {
+IncrementalEvaluator::CacheUpdate IncrementalEvaluator::update_cache(
+    const geo::SegmentedLayout& layout, std::span<const int> offsets, Cache mode) {
     const int segments = layout.num_segments();
-    const bool cache_ok = cache_valid_ && static_cast<int>(offsets_.size()) == segments &&
+    if (static_cast<int>(offsets.size()) != segments) {
+        throw std::invalid_argument("IncrementalEvaluator: offsets size mismatch");
+    }
+    const bool cache_ok = mode == Cache::kReuse && cache_valid_ &&
+                          static_cast<int>(offsets_.size()) == segments &&
                           layout_key_ == layout_fingerprint(layout);
     if (!cache_ok) {
         rebuild_cache(layout, offsets);
         return CacheUpdate::kRebuilt;
     }
 
-    // Verify against the cached offsets: the true dirty set is what actually
-    // changed, whatever the caller believes.
     std::vector<int> changed;
     for (int i = 0; i < segments; ++i) {
         if (offsets[i] != offsets_[static_cast<std::size_t>(i)]) changed.push_back(i);
@@ -445,12 +396,12 @@ IncrementalEvaluator::CacheUpdate IncrementalEvaluator::refresh_cache(
     if (changed.empty()) return CacheUpdate::kUnchanged;
 
     if (static_cast<double>(changed.size()) >
-        cfg_.incremental_fallback_fraction * static_cast<double>(segments)) {
+        kIncrementalFallbackFraction * static_cast<double>(segments)) {
         rebuild_cache(layout, offsets);
         return CacheUpdate::kRebuilt;
     }
 
-    // Dirty polygons: a segment's move affects exactly its owning polygon.
+    // Moved polygons: a segment's move affects exactly its owning polygon.
     std::vector<int> polys;
     for (int i : changed) {
         const int p = layout.segments()[static_cast<std::size_t>(i)].poly;
@@ -465,105 +416,11 @@ IncrementalEvaluator::CacheUpdate IncrementalEvaluator::refresh_cache(
     }
     offsets_.assign(offsets.begin(), offsets.end());
     update_spectrum(deltas);
+    metrics_stale_ = true;
     return CacheUpdate::kSparse;
 }
 
-SimMetrics IncrementalEvaluator::evaluate(const geo::SegmentedLayout& layout,
-                                          std::span<const int> offsets,
-                                          std::span<const int> /*dirty*/) {
-    const int segments = layout.num_segments();
-    if (static_cast<int>(offsets.size()) != segments) {
-        throw std::invalid_argument("evaluate: offsets size mismatch");
-    }
-
-    switch (refresh_cache(layout, offsets)) {
-        case CacheUpdate::kUnchanged:  // nothing moved: cached metrics are exact
-            ++incremental_count_;
-            obs::counter_add(hits_counter());
-            return metrics_;
-        case CacheUpdate::kSparse:
-            metrics_ = metrics_from_cache(layout);
-            ++incremental_count_;
-            obs::counter_add(hits_counter());
-            return metrics_;
-        case CacheUpdate::kRebuilt:
-            metrics_ = metrics_from_cache(layout);
-            ++full_count_;
-            obs::counter_add(fulls_counter());
-            return metrics_;
-    }
-    throw std::logic_error("unreachable");
-}
-
-WindowMetrics IncrementalEvaluator::evaluate_window(const geo::SegmentedLayout& layout,
-                                                    std::span<const int> offsets,
-                                                    const WindowSpec& spec) {
-    spec.validate();
-    if (static_cast<int>(offsets.size()) != layout.num_segments()) {
-        throw std::invalid_argument("evaluate_window: offsets size mismatch");
-    }
-    return window_from_cache(layout, spec, refresh_cache(layout, offsets));
-}
-
-WindowMetrics IncrementalEvaluator::evaluate_window_full(const geo::SegmentedLayout& layout,
-                                                         std::span<const int> offsets,
-                                                         const WindowSpec& spec) {
-    spec.validate();
-    if (static_cast<int>(offsets.size()) != layout.num_segments()) {
-        throw std::invalid_argument("evaluate_window_full: offsets size mismatch");
-    }
-    rebuild_cache(layout, offsets);
-    return window_from_cache(layout, spec, CacheUpdate::kRebuilt);
-}
-
-WindowMetrics IncrementalEvaluator::window_from_cache(const geo::SegmentedLayout& layout,
-                                                      const WindowSpec& spec,
-                                                      CacheUpdate update) {
-    // One aerial per focus plane from the cached support spectrum. Resolve
-    // every plane first: an extra plane may extend the union spectrum, and
-    // the pointers stay valid because extra_planes_ elements are
-    // individually heap-allocated.
-    std::vector<std::pair<const SupportApplicator*, const std::vector<int>*>> planes;
-    planes.reserve(spec.defocus_nm.size());
-    for (double f : spec.defocus_nm) planes.push_back(plane_for(f));
-
-    std::vector<geo::Raster> aerials;
-    aerials.reserve(planes.size());
-    for (const auto& [applicator, map] : planes) {
-        const obs::Span plane_span("window.focus_plane", focus_plane_hist());
-        aerials.push_back(aerial_from_cache(*applicator, *map));
-    }
-
-    const WindowMetrics wm = window_metrics_from_aerials(layout, spec, aerials, threshold_,
-                                                         clip_offset_, cfg_);
-
-    // Keep the cached standard metrics consistent with the (possibly
-    // updated) cache so a later evaluate() with unchanged offsets can still
-    // return them outright. On the standard window the aggregation above
-    // already produced them with identical arguments — the dose-1.0 corner's
-    // EPE profile (threshold / 1.0 on the best-focus aerial) and the
-    // two-corner band over dose extremes equal to cfg's — so reuse those
-    // outright; otherwise recompute from the window's aerials (plane_for
-    // resolves the standard planes to the same applicators
-    // metrics_from_cache uses, so the arithmetic is identical either way).
-    if (update != CacheUpdate::kUnchanged) {
-        const int f_best = spec.find_focus(0.0);
-        const int f_def = spec.find_focus(cfg_.defocus_nm);
-        const CornerResult* nominal = wm.nominal_corner();
-        const auto [lo_it, hi_it] = std::minmax_element(spec.doses.begin(), spec.doses.end());
-        if (nominal != nullptr && wm.pv_band_two_corner_nm2 >= 0.0 &&
-            *lo_it == cfg_.dose_min && *hi_it == cfg_.dose_max) {
-            metrics_ = nominal->metrics;
-            metrics_.pvband_nm2 = wm.pv_band_two_corner_nm2;
-        } else if (f_best >= 0 && f_def >= 0) {
-            metrics_ = compute_sim_metrics(layout, aerials[static_cast<std::size_t>(f_best)],
-                                           aerials[static_cast<std::size_t>(f_def)], threshold_,
-                                           clip_offset_, cfg_.epe_range_nm, cfg_.dose_min,
-                                           cfg_.dose_max);
-        } else {
-            metrics_ = metrics_from_cache(layout);
-        }
-    }
+void IncrementalEvaluator::count_update(CacheUpdate update) {
     if (update == CacheUpdate::kRebuilt) {
         ++full_count_;
         obs::counter_add(fulls_counter());
@@ -571,6 +428,37 @@ WindowMetrics IncrementalEvaluator::window_from_cache(const geo::SegmentedLayout
         ++incremental_count_;
         obs::counter_add(hits_counter());
     }
+}
+
+SimMetrics IncrementalEvaluator::evaluate(const geo::SegmentedLayout& layout,
+                                          std::span<const int> offsets, Cache mode) {
+    const CacheUpdate update = update_cache(layout, offsets, mode);
+    if (metrics_stale_) {
+        metrics_ = metrics_from_cache(layout);
+        metrics_stale_ = false;
+    }
+    count_update(update);
+    return metrics_;
+}
+
+WindowMetrics IncrementalEvaluator::evaluate_window(const geo::SegmentedLayout& layout,
+                                                    std::span<const int> offsets,
+                                                    const WindowSpec& spec, Cache mode) {
+    spec.validate();
+    const CacheUpdate update = update_cache(layout, offsets, mode);
+
+    // One aerial per focus plane from the cached support spectrum.
+    const std::vector<Complex> vals = support_values();
+    std::vector<geo::Raster> aerials;
+    aerials.reserve(spec.defocus_nm.size());
+    for (double f : spec.defocus_nm) {
+        const SupportApplicator& applicator = plane_for(f);
+        const obs::Span plane_span("window.focus_plane", focus_plane_hist());
+        aerials.push_back(applicator.apply(vals, cfg_.pixel_nm));
+    }
+    WindowMetrics wm = window_metrics_from_aerials(layout, spec, aerials, threshold_,
+                                                   clip_offset_, cfg_);
+    count_update(update);
     return wm;
 }
 

@@ -6,16 +6,20 @@
 // segments the policy acted on. The incremental path exploits both:
 //
 //   * The mask raster is cached as a double-precision coverage accumulator.
-//     When a dirty segment set arrives, only the owning polygons are
+//     When a few segments moved, only the owning polygons are
 //     re-rasterized, restricted to their pixel footprint
 //     (geo::add_polygon_region), and the old polygon's contribution is
 //     subtracted exactly — per-pixel coverage is a pure function of
 //     (polygon, pixel), so the cache never drifts from a from-scratch
 //     rasterization beyond double rounding.
-//   * The mask spectrum is cached only at the union of the kernel support
-//     frequencies and updated with a sparse delta-DFT over the pixels whose
-//     clamped coverage changed: O(|delta pixels| * |support|) instead of
-//     O(N^2 log N).
+//   * The mask spectrum is cached only at the kernel support frequencies
+//     and updated with a sparse delta-DFT over the pixels whose clamped
+//     coverage changed: O(|delta pixels| * |support|) instead of
+//     O(N^2 log N). The support is the one truncated low-frequency disk of
+//     tcc_support_freqs(cfg) — focus changes the kernel coefficients, not
+//     where they live — so one cached spectrum, indexed like the nominal
+//     KernelSet::support, serves every focus plane; a plane whose support
+//     differs is rejected with std::invalid_argument.
 //   * Aerial images are produced by SupportApplicator, which evaluates the
 //     SOCS sum on a small coarse grid m >= 4R+2 (R = support radius). The
 //     coherent fields are band-limited to R and the intensity to 2R, so the
@@ -35,17 +39,13 @@
 //     threshold * dose now prints on both paths — so the remaining slack
 //     only covers pixels whose intensity the two float pipelines genuinely
 //     place on opposite sides of the (epsilon-shifted) contour.
-// With an empty dirty set and unchanged offsets the cached metrics are
-// returned unchanged (exact). The evaluator verifies the caller's dirty set
-// against its cached offsets, so a stale or incomplete hint degrades to a
-// larger re-rasterization (or a full rebuild), never to a wrong answer.
+// With unchanged offsets the cached metrics are returned unchanged (exact).
+// The evaluator diffs the offsets against its cached copy, so what moved is
+// always what it re-rasterizes — callers pass no hint.
 #pragma once
 
 #include <complex>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "geometry/layout.hpp"
@@ -54,6 +54,7 @@
 #include "litho/fft.hpp"
 #include "litho/metrics.hpp"
 #include "litho/process_window.hpp"
+#include "litho/simulator.hpp"
 #include "litho/tcc.hpp"
 
 namespace camo::litho {
@@ -61,6 +62,11 @@ namespace camo::litho {
 /// Documented equivalence tolerances between the full and incremental paths.
 inline constexpr double kIncrementalEpeTolNm = 1e-3;
 inline constexpr double kIncrementalPvbPixelSlack = 4.0;  ///< border pixels that may flip
+
+/// A kReuse evaluation rebuilds the cache outright when more than this
+/// fraction of the segments moved since the previous call (the sparse
+/// delta-DFT stops paying off).
+inline constexpr double kIncrementalFallbackFraction = 0.3;
 
 /// Applies one SOCS kernel set to a mask spectrum sampled at the kernel
 /// support only. Kernel coefficients are stored as one contiguous
@@ -100,35 +106,24 @@ public:
     IncrementalEvaluator(const LithoConfig& cfg, double threshold, const KernelSet& nominal,
                          const KernelSet& defocus);
 
-    /// Full evaluation that (re)primes the cache for `layout` + `offsets`.
-    SimMetrics evaluate_full(const geo::SegmentedLayout& layout, std::span<const int> offsets);
-
-    /// Evaluation where only `dirty` segment indices changed since the last
-    /// call. Falls back to evaluate_full() when the cache does not match
-    /// this layout or the verified dirty set exceeds
-    /// cfg.incremental_fallback_fraction of the segments.
+    /// Nominal + defocus metrics from the cache. kPrime rebuilds it first;
+    /// kReuse diffs `offsets` against the cached ones and keeps the cache
+    /// as is (nothing moved), applies a sparse delta-DFT (a few segments
+    /// moved) or rebuilds it (a different layout, or more than
+    /// kIncrementalFallbackFraction of the segments moved).
     SimMetrics evaluate(const geo::SegmentedLayout& layout, std::span<const int> offsets,
-                        std::span<const int> dirty);
+                        Cache mode);
 
-    /// Multi-corner window evaluation on the cached raster + spectrum: the
-    /// cache is refreshed exactly as evaluate() would (unchanged offsets
-    /// reuse it outright, small moves go through the sparse delta-DFT, big
-    /// moves rebuild), then ONE aerial per focus plane is produced from the
+    /// Multi-corner window evaluation: brings the cache up to date exactly
+    /// as evaluate() does, then produces ONE aerial per focus plane from the
     /// cached support spectrum through per-focus SupportApplicators — no
     /// per-corner rasterization or forward FFT. Extra focus planes acquire
     /// their kernel sets from the registry on first use and are cached on
     /// this evaluator. Metrics match the dense ProcessWindowSweep within the
-    /// incremental tolerances above. Refreshes the cached standard metrics,
-    /// so interleaving with evaluate() stays consistent.
+    /// incremental tolerances above.
     WindowMetrics evaluate_window(const geo::SegmentedLayout& layout,
-                                  std::span<const int> offsets, const WindowSpec& spec);
-
-    /// Window evaluation that always (re)primes the cache with a full
-    /// rebuild first — the window counterpart of evaluate_full(), used for a
-    /// job's first evaluation so results never depend on what this evaluator
-    /// saw before (the batch determinism contract).
-    WindowMetrics evaluate_window_full(const geo::SegmentedLayout& layout,
-                                       std::span<const int> offsets, const WindowSpec& spec);
+                                  std::span<const int> offsets, const WindowSpec& spec,
+                                  Cache mode);
 
     [[nodiscard]] long long incremental_count() const { return incremental_count_; }
     [[nodiscard]] long long full_count() const { return full_count_; }
@@ -144,20 +139,14 @@ private:
     struct FocusPlane {
         double defocus_nm = 0.0;
         SupportApplicator applicator;
-        std::vector<int> map;  ///< support index -> union spectrum index
-
-        FocusPlane(double f, SupportApplicator app, std::vector<int> m)
-            : defocus_nm(f), applicator(std::move(app)), map(std::move(m)) {}
     };
 
-    /// How refresh_cache() brought the cache up to date with `offsets`.
+    /// How update_cache() brought the cache up to date with `offsets`.
     enum class CacheUpdate { kUnchanged, kSparse, kRebuilt };
 
-    CacheUpdate refresh_cache(const geo::SegmentedLayout& layout, std::span<const int> offsets);
-    /// Shared tail of the window paths: images every corner from the (just
-    /// refreshed) cache and keeps the cached standard metrics consistent.
-    WindowMetrics window_from_cache(const geo::SegmentedLayout& layout, const WindowSpec& spec,
-                                    CacheUpdate update);
+    CacheUpdate update_cache(const geo::SegmentedLayout& layout, std::span<const int> offsets,
+                             Cache mode);
+    void count_update(CacheUpdate update);
     void rebuild_cache(const geo::SegmentedLayout& layout, std::span<const int> offsets);
     void apply_polygon_delta(const geo::Polygon& old_poly, const geo::Polygon& new_poly,
                              std::vector<PixelDelta>& deltas);
@@ -167,31 +156,22 @@ private:
     [[nodiscard]] geo::Polygon translated_polygon(const geo::SegmentedLayout& layout, int p,
                                                   std::span<const int> offsets) const;
 
-    /// Union-spectrum index of `f`, extending the union (and computing the
-    /// new entry from the cached mask by direct DFT) if a focus plane's
-    /// support introduces a frequency the two standard sets lack.
-    int union_index(int kx, int ky);
-    /// Applicator + gather map for one focus plane (standard planes resolve
-    /// to the members built at construction, extra planes are built lazily).
-    [[nodiscard]] std::pair<const SupportApplicator*, const std::vector<int>*> plane_for(
-        double defocus_nm);
-    [[nodiscard]] geo::Raster aerial_from_cache(const SupportApplicator& applicator,
-                                                const std::vector<int>& map) const;
+    /// Applicator for one focus plane (the standard planes resolve to the
+    /// members built at construction, extra planes are built lazily).
+    [[nodiscard]] const SupportApplicator& plane_for(double defocus_nm);
+    /// The cached spectrum as the applicators' single-precision input.
+    [[nodiscard]] std::vector<Complex> support_values() const;
 
     LithoConfig cfg_;
     double threshold_ = 0.0;
+    // The nominal support every focus plane must share; declared before the
+    // applicators because defocus_'s initializer checks against it.
+    std::vector<FreqIndex> support_;
     SupportApplicator nominal_;
     SupportApplicator defocus_;
-
-    // Union of the kernel supports (the two standard sets plus any extra
-    // focus planes) and per-condition gather maps.
-    std::vector<int> union_kx_;  ///< wrapped kx per union frequency
-    std::vector<int> union_ky_;  ///< wrapped ky per union frequency
-    std::vector<int> union_pos_;  ///< wrapped fine-grid flat index per union frequency
-    std::map<std::pair<int, int>, int> union_lookup_;  ///< (kx, ky) -> union index
-    std::vector<int> map_nominal_;
-    std::vector<int> map_defocus_;
-    std::vector<std::unique_ptr<FocusPlane>> extra_planes_;  ///< window sweep planes
+    std::vector<int> support_kx_;  ///< wrapped kx per support frequency
+    std::vector<int> support_ky_;  ///< wrapped ky per support frequency
+    std::vector<FocusPlane> extra_planes_;       ///< window sweep planes
     std::vector<std::complex<double>> twiddle_;  ///< exp(-2*pi*i*t/n), t in [0, n)
 
     // Cache keyed on the layout's content fingerprint (targets + SRAFs +
@@ -205,8 +185,9 @@ private:
     std::vector<geo::Polygon> poly_cache_;  ///< translated mask polygon per target
     std::vector<double> acc_;               ///< unclamped signed coverage accumulator
     std::vector<float> clamped_;            ///< clamp01 of acc_, the effective mask
-    std::vector<std::complex<double>> spectrum_;  ///< mask spectrum at union support
-    SimMetrics metrics_;                          ///< metrics of the cached state
+    std::vector<std::complex<double>> spectrum_;  ///< mask spectrum at support_
+    SimMetrics metrics_;       ///< nominal metrics of the cached state, unless stale
+    bool metrics_stale_ = true;  ///< the cache changed since metrics_ was computed
 
     long long incremental_count_ = 0;
     long long full_count_ = 0;

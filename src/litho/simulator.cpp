@@ -84,31 +84,21 @@ SimMetrics LithoSim::evaluate(const geo::SegmentedLayout& layout,
                                cfg_.dose_min, cfg_.dose_max);
 }
 
-SimMetrics LithoSim::evaluate_incremental(const geo::SegmentedLayout& layout,
-                                          std::span<const int> offsets) {
-    const obs::Span span("litho.evaluate_incremental", eval_incremental_hist());
-    evaluate_count_.fetch_add(1, std::memory_order_relaxed);
-    obs::counter_add(eval_counter());
+IncrementalEvaluator& LithoSim::incremental() {
     if (!incremental_) {
         incremental_ = std::make_unique<IncrementalEvaluator>(cfg_, threshold_,
                                                               nominal_->kernels(),
                                                               defocus_->kernels());
     }
-    return incremental_->evaluate_full(layout, offsets);
+    return *incremental_;
 }
 
 SimMetrics LithoSim::evaluate_incremental(const geo::SegmentedLayout& layout,
-                                          std::span<const int> offsets,
-                                          std::span<const int> dirty) {
+                                          std::span<const int> offsets, Cache mode) {
     const obs::Span span("litho.evaluate_incremental", eval_incremental_hist());
     evaluate_count_.fetch_add(1, std::memory_order_relaxed);
     obs::counter_add(eval_counter());
-    if (!incremental_) {
-        incremental_ = std::make_unique<IncrementalEvaluator>(cfg_, threshold_,
-                                                              nominal_->kernels(),
-                                                              defocus_->kernels());
-    }
-    return incremental_->evaluate(layout, offsets, dirty);
+    return incremental().evaluate(layout, offsets, mode);
 }
 
 WindowMetrics LithoSim::evaluate_window(const geo::SegmentedLayout& layout,
@@ -123,30 +113,11 @@ WindowMetrics LithoSim::evaluate_window(const geo::SegmentedLayout& layout,
 
 WindowMetrics LithoSim::evaluate_window_incremental(const geo::SegmentedLayout& layout,
                                                     std::span<const int> offsets,
-                                                    const WindowSpec& spec) {
+                                                    const WindowSpec& spec, Cache mode) {
     const obs::Span span("litho.evaluate_window", window_hist());
     evaluate_count_.fetch_add(1, std::memory_order_relaxed);
     obs::counter_add(eval_counter());
-    if (!incremental_) {
-        incremental_ = std::make_unique<IncrementalEvaluator>(cfg_, threshold_,
-                                                              nominal_->kernels(),
-                                                              defocus_->kernels());
-    }
-    return incremental_->evaluate_window(layout, offsets, spec);
-}
-
-WindowMetrics LithoSim::evaluate_window_prime(const geo::SegmentedLayout& layout,
-                                              std::span<const int> offsets,
-                                              const WindowSpec& spec) {
-    const obs::Span span("litho.evaluate_window", window_hist());
-    evaluate_count_.fetch_add(1, std::memory_order_relaxed);
-    obs::counter_add(eval_counter());
-    if (!incremental_) {
-        incremental_ = std::make_unique<IncrementalEvaluator>(cfg_, threshold_,
-                                                              nominal_->kernels(),
-                                                              defocus_->kernels());
-    }
-    return incremental_->evaluate_window_full(layout, offsets, spec);
+    return incremental().evaluate_window(layout, offsets, spec, mode);
 }
 
 long long LithoSim::incremental_hit_count() const {

@@ -10,10 +10,11 @@
 //
 // Thread-safety contract: every const method touches only immutable shared
 // kernel state plus an atomic call counter, so one LithoSim may be used from
-// many threads concurrently. evaluate_incremental() is the exception: it
-// mutates a per-instance cache and must not be called on one instance from
-// two threads — the batch runtime gives each worker its own (cheap) copy, so
-// per-worker caches and evaluation counts stay contention-free.
+// many threads concurrently. The two cached evaluate_*_incremental() calls
+// are the exception: they mutate a per-instance cache and must not be
+// called on one instance from two threads — the batch runtime gives each
+// worker its own (cheap) copy, so per-worker caches and evaluation counts
+// stay contention-free.
 #pragma once
 
 #include <atomic>
@@ -31,6 +32,12 @@
 namespace camo::litho {
 
 class IncrementalEvaluator;
+
+/// How a cached evaluation treats the per-instance incremental cache.
+enum class Cache {
+    kPrime,  ///< rebuild it from scratch (a job's first evaluation of a clip)
+    kReuse,  ///< update it with what changed since the previous call
+};
 
 class LithoSim {
 public:
@@ -60,27 +67,18 @@ public:
     [[nodiscard]] SimMetrics evaluate(const geo::SegmentedLayout& layout,
                                       std::span<const int> offsets) const;
 
-    /// Incremental evaluation without a dirty set: always performs a full
-    /// evaluation and (re)primes the per-instance cache for `layout`, so a
-    /// job's results never depend on what this simulator evaluated before.
-    /// Call this for the first evaluation of a clip, then the dirty-set
-    /// overload inside the optimization loop.
+    /// Cached evaluation: metrics of `layout` under `offsets` through the
+    /// per-instance incremental cache. kPrime rebuilds the cache first, so
+    /// the result never depends on what this simulator evaluated before —
+    /// call it for the first evaluation of a clip. kReuse brings the cache
+    /// up to date with what actually changed since the last call: nothing
+    /// (cached metrics), a few segments (their polygons re-rasterized plus a
+    /// sparse delta-DFT on the support spectrum), or a different layout or
+    /// more than kIncrementalFallbackFraction of the segments (a rebuild).
+    /// Metrics match evaluate() within the tolerances documented in
+    /// litho/incremental.hpp. Not thread-safe on one instance.
     [[nodiscard]] SimMetrics evaluate_incremental(const geo::SegmentedLayout& layout,
-                                                  std::span<const int> offsets);
-
-    /// Incremental evaluation: `dirty` lists the segment indices acted on
-    /// since the previous call on the same layout. The hint is advisory —
-    /// the evaluator cross-checks it against its cached offsets and works
-    /// from what actually changed, so a stale or incomplete hint costs
-    /// accuracy nothing. Re-rasterizes only the changed polygons and updates
-    /// the cached support spectrum with a sparse delta-DFT; falls back to a
-    /// full evaluation when the cache does not match this layout or too many
-    /// segments moved (cfg.incremental_fallback_fraction). Metrics match
-    /// evaluate() within the tolerances documented in litho/incremental.hpp.
-    /// Not thread-safe on one instance.
-    [[nodiscard]] SimMetrics evaluate_incremental(const geo::SegmentedLayout& layout,
-                                                  std::span<const int> offsets,
-                                                  std::span<const int> dirty);
+                                                  std::span<const int> offsets, Cache mode);
 
     /// Multi-corner process-window evaluation through the dense (exact)
     /// path: one rasterization + one forward FFT serve every corner, one
@@ -94,25 +92,15 @@ public:
                                                 std::span<const int> offsets,
                                                 const WindowSpec& spec) const;
 
-    /// Window evaluation riding the incremental cache: refreshes the cached
-    /// raster + support spectrum exactly like evaluate_incremental (sparse
-    /// delta-DFT for small moves, outright reuse for none), then images
-    /// every corner from the cached spectrum — no per-corner rasterization
-    /// or forward FFT. Matches evaluate_window within the incremental
-    /// tolerances of litho/incremental.hpp. Not thread-safe on one instance.
+    /// Window evaluation riding the incremental cache: brings the cached
+    /// raster + support spectrum up to date exactly like
+    /// evaluate_incremental under the same `mode`, then images every corner
+    /// from the cached spectrum — no per-corner rasterization or forward
+    /// FFT. Matches evaluate_window within the incremental tolerances of
+    /// litho/incremental.hpp. Not thread-safe on one instance.
     [[nodiscard]] WindowMetrics evaluate_window_incremental(const geo::SegmentedLayout& layout,
                                                             std::span<const int> offsets,
-                                                            const WindowSpec& spec);
-
-    /// Window evaluation that always (re)primes the per-instance cache with
-    /// a full rebuild — the window counterpart of the no-dirty
-    /// evaluate_incremental overload. Window-objective engines call this for
-    /// the first evaluation of a clip, then evaluate_window_incremental
-    /// inside the loop, so a job's window metrics never depend on what this
-    /// simulator evaluated before. Not thread-safe on one instance.
-    [[nodiscard]] WindowMetrics evaluate_window_prime(const geo::SegmentedLayout& layout,
-                                                      std::span<const int> offsets,
-                                                      const WindowSpec& spec);
+                                                            const WindowSpec& spec, Cache mode);
 
     /// Binary printed image at a dose, per the shared epsilon-stable
     /// pixel_prints predicate (litho/metrics.hpp).
@@ -123,8 +111,9 @@ public:
         return evaluate_count_.load(std::memory_order_relaxed);
     }
 
-    /// evaluate_incremental() calls served by the sparse delta path vs. by a
-    /// full rebuild (cache miss, large dirty set, or the no-dirty overload).
+    /// Cached evaluations (nominal and window) that reused the cache — as is,
+    /// or after a sparse delta update — vs. those that rebuilt it (kPrime, a
+    /// layout switch, or too many moved segments).
     [[nodiscard]] long long incremental_hit_count() const;
     [[nodiscard]] long long incremental_full_count() const;
 
@@ -141,6 +130,8 @@ private:
     std::shared_ptr<const KernelApplicator> defocus_;
     mutable std::atomic<long long> evaluate_count_{0};
     std::unique_ptr<IncrementalEvaluator> incremental_;  ///< lazily built, never copied
+
+    IncrementalEvaluator& incremental();
 };
 
 }  // namespace camo::litho

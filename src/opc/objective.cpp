@@ -107,30 +107,15 @@ WindowObjective::WindowObjective(const OpcOptions& opt, const litho::LithoConfig
     spec_ = resolve_objective_window(opt.window, reward_, cfg);
 }
 
-litho::SimMetrics WindowObjective::prime(litho::LithoSim& sim,
-                                         const geo::SegmentedLayout& layout,
-                                         std::span<const int> offsets,
-                                         std::optional<litho::WindowMetrics>* window) const {
-    if (!active()) {
-        if (window != nullptr) window->reset();
-        return sim.evaluate_incremental(layout, offsets);
-    }
-    litho::WindowMetrics wm = sim.evaluate_window_prime(layout, offsets, spec_);
-    litho::SimMetrics view = objective_view(wm, reward_);
-    if (window != nullptr) *window = std::move(wm);
-    return view;
-}
-
 litho::SimMetrics WindowObjective::evaluate(litho::LithoSim& sim,
                                             const geo::SegmentedLayout& layout,
-                                            std::span<const int> offsets,
-                                            std::span<const int> dirty,
+                                            std::span<const int> offsets, litho::Cache mode,
                                             std::optional<litho::WindowMetrics>* window) const {
     if (!active()) {
         if (window != nullptr) window->reset();
-        return sim.evaluate_incremental(layout, offsets, dirty);
+        return sim.evaluate_incremental(layout, offsets, mode);
     }
-    litho::WindowMetrics wm = sim.evaluate_window_incremental(layout, offsets, spec_);
+    litho::WindowMetrics wm = sim.evaluate_window_incremental(layout, offsets, spec_, mode);
     litho::SimMetrics view = objective_view(wm, reward_);
     if (window != nullptr) *window = std::move(wm);
     return view;

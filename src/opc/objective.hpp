@@ -55,21 +55,16 @@ public:
     [[nodiscard]] const litho::WindowSpec& spec() const { return spec_; }
     [[nodiscard]] const rl::WindowRewardConfig& reward() const { return reward_; }
 
-    /// First evaluation of a clip: primes the simulator's incremental cache
-    /// with a full rebuild (nominal mode: the no-dirty evaluate_incremental
-    /// overload; window modes: evaluate_window_prime) so job results never
-    /// depend on what the simulator saw before. `window` (when non-null)
+    /// One cached evaluation of the clip: nominal mode forwards to
+    /// LithoSim::evaluate_incremental (bit-identical to the legacy loop),
+    /// window modes ride evaluate_window_incremental and return the
+    /// objective view. Engines pass Cache::kPrime for a clip's first
+    /// evaluation, so job results never depend on what the simulator saw
+    /// before, and Cache::kReuse inside the loop. `window` (when non-null)
     /// receives the sweep's per-corner metrics in the window modes and is
     /// reset in nominal mode.
-    litho::SimMetrics prime(litho::LithoSim& sim, const geo::SegmentedLayout& layout,
-                            std::span<const int> offsets,
-                            std::optional<litho::WindowMetrics>* window = nullptr) const;
-
-    /// In-loop evaluation after `dirty` segments moved. Nominal mode
-    /// forwards to the dirty-set evaluate_incremental (bit-identical to the
-    /// legacy loop); window modes ride evaluate_window_incremental.
     litho::SimMetrics evaluate(litho::LithoSim& sim, const geo::SegmentedLayout& layout,
-                               std::span<const int> offsets, std::span<const int> dirty,
+                               std::span<const int> offsets, litho::Cache mode,
                                std::optional<litho::WindowMetrics>* window = nullptr) const;
 
 private:

@@ -36,19 +36,11 @@ std::vector<int> feedback_moves(const std::vector<double>& epe_segment, double g
     return moves;
 }
 
-// Applies the moves and returns the indices whose offset actually changed
-// (the dirty set for incremental lithography evaluation).
-std::vector<int> apply_moves(std::vector<int>& offsets, const std::vector<int>& moves,
-                             int bound) {
-    std::vector<int> dirty;
+// Applies the moves, clamping each total offset into +/- bound.
+void apply_moves(std::vector<int>& offsets, const std::vector<int>& moves, int bound) {
     for (std::size_t i = 0; i < offsets.size(); ++i) {
-        const int next = std::clamp(offsets[i] + moves[i], -bound, bound);
-        if (next != offsets[i]) {
-            offsets[i] = next;
-            dirty.push_back(static_cast<int>(i));
-        }
+        offsets[i] = std::clamp(offsets[i] + moves[i], -bound, bound);
     }
-    return dirty;
 }
 
 }  // namespace
@@ -61,7 +53,8 @@ EngineResult RuleEngine::optimize(const geo::SegmentedLayout& layout, litho::Lit
     std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()),
                              opt.initial_bias_nm);
 
-    litho::SimMetrics m = objective.prime(sim, layout, offsets, &res.final_window);
+    litho::SimMetrics m =
+        objective.evaluate(sim, layout, offsets, litho::Cache::kPrime, &res.final_window);
     res.epe_history.push_back(m.sum_abs_epe);
     res.pvb_history.push_back(m.pvband_nm2);
 
@@ -71,8 +64,8 @@ EngineResult RuleEngine::optimize(const geo::SegmentedLayout& layout, litho::Lit
     for (int it = 0; it < opt.max_iterations; ++it) {
         if (opt_.early_exit && should_exit_early(m.sum_abs_epe, features, points, opt)) break;
         const auto moves = feedback_moves(m.epe_segment, opt_.gain, opt_.max_step_nm);
-        const auto dirty = apply_moves(offsets, moves, opt.max_total_offset_nm);
-        m = objective.evaluate(sim, layout, offsets, dirty, &res.final_window);
+        apply_moves(offsets, moves, opt.max_total_offset_nm);
+        m = objective.evaluate(sim, layout, offsets, litho::Cache::kReuse, &res.final_window);
         res.epe_history.push_back(m.sum_abs_epe);
         res.pvb_history.push_back(m.pvband_nm2);
         ++res.iterations;
@@ -92,7 +85,7 @@ rl::Trajectory RuleEngine::record_trajectory(const geo::SegmentedLayout& layout,
     std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()),
                              opt.initial_bias_nm);
     std::optional<litho::WindowMetrics> window;
-    litho::SimMetrics m = objective.prime(sim, layout, offsets, &window);
+    litho::SimMetrics m = objective.evaluate(sim, layout, offsets, litho::Cache::kPrime, &window);
 
     const auto corner_epes = [](const litho::WindowMetrics& wm) {
         std::vector<double> epes;
@@ -118,8 +111,8 @@ rl::Trajectory RuleEngine::record_trajectory(const geo::SegmentedLayout& layout,
         for (int mv : moves) rec.actions.push_back(rl::move_to_action(mv));
         traj.steps.push_back(std::move(rec));
 
-        const auto dirty = apply_moves(offsets, moves, opt.max_total_offset_nm);
-        m = objective.evaluate(sim, layout, offsets, dirty, &window);
+        apply_moves(offsets, moves, opt.max_total_offset_nm);
+        m = objective.evaluate(sim, layout, offsets, litho::Cache::kReuse, &window);
     }
     traj.final_sum_abs_epe = m.sum_abs_epe;
     traj.final_pvband = m.pvband_nm2;

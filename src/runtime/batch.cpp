@@ -186,8 +186,8 @@ StreamStats BatchScheduler::run_streaming(const std::vector<geo::SegmentedLayout
                         // sweep reuses the cached raster + spectrum; the cache
                         // was primed by this job, so results stay independent of
                         // scheduling order.
-                        out.window = sim.evaluate_window_incremental(layout, res.final_offsets,
-                                                                     opt_.window_spec);
+                        out.window = sim.evaluate_window_incremental(
+                            layout, res.final_offsets, opt_.window_spec, litho::Cache::kReuse);
                     }
                 } catch (const std::exception& e) {
                     out.error = e.what();

@@ -85,8 +85,8 @@ struct BatchResult {
     double wall_s = 0.0;            ///< end-to-end batch wall time
     double throughput_cps = 0.0;    ///< successful clips per second
     long long litho_evaluations = 0;
-    long long incremental_hits = 0;   ///< evaluations served by the sparse delta path
-    long long incremental_fulls = 0;  ///< evaluate_incremental calls that ran full
+    long long incremental_hits = 0;   ///< cached evaluations reusing the cache (as is or sparse)
+    long long incremental_fulls = 0;  ///< cached evaluations (nominal or window) that rebuilt it
     int failed = 0;
     double sum_initial_epe = 0.0;
     double sum_final_epe = 0.0;
@@ -100,7 +100,8 @@ struct BatchResult {
     /// Successful clip count (clips.size() - failed).
     [[nodiscard]] int ok() const { return static_cast<int>(clips.size()) - failed; }
 
-    /// Fraction of litho evaluations served by the incremental path.
+    /// Fraction of cached evaluations that did not rebuild the cache: the
+    /// sparse delta updates plus the reuses of an unchanged cache.
     [[nodiscard]] double incremental_hit_rate() const {
         const long long total = incremental_hits + incremental_fulls;
         return total > 0 ? static_cast<double>(incremental_hits) / static_cast<double>(total)
@@ -153,8 +154,8 @@ struct StreamStats {
     int failed = 0;     ///< delivered results with a non-empty error
     double wall_s = 0.0;
     long long litho_evaluations = 0;
-    long long incremental_hits = 0;   ///< evaluations served by the sparse delta path
-    long long incremental_fulls = 0;  ///< evaluate_incremental calls that ran full
+    long long incremental_hits = 0;   ///< cached evaluations reusing the cache (as is or sparse)
+    long long incremental_fulls = 0;  ///< cached evaluations (nominal or window) that rebuilt it
 };
 
 /// Shards clip jobs over a worker pool. Construction acquires the shared

@@ -89,25 +89,23 @@ void expect_equivalent(const SimMetrics& inc, const SimMetrics& full, const char
 // tracks a fresh full evaluation at every step.
 void run_equivalence_walk(LithoSim& inc_sim, const LithoSim& full_sim,
                           const geo::SegmentedLayout& layout, std::uint64_t seed, int steps,
-                          double dirty_fraction) {
+                          double move_fraction) {
     const int segments = layout.num_segments();
     Rng rng(seed);
     std::vector<int> offsets(static_cast<std::size_t>(segments), 3);
 
-    SimMetrics inc = inc_sim.evaluate_incremental(layout, offsets);
+    SimMetrics inc = inc_sim.evaluate_incremental(layout, offsets, Cache::kPrime);
     expect_equivalent(inc, full_sim.evaluate(layout, offsets), "initial");
 
     for (int t = 0; t < steps; ++t) {
         const int moves =
-            std::max(1, static_cast<int>(dirty_fraction * segments));
-        std::vector<int> dirty;
+            std::max(1, static_cast<int>(move_fraction * segments));
         for (int j = 0; j < moves; ++j) {
             const int i = rng.uniform_int(0, segments - 1);
             offsets[static_cast<std::size_t>(i)] = std::clamp(
                 offsets[static_cast<std::size_t>(i)] + rng.uniform_int(-2, 2), -15, 15);
-            dirty.push_back(i);
         }
-        inc = inc_sim.evaluate_incremental(layout, offsets, dirty);
+        inc = inc_sim.evaluate_incremental(layout, offsets, Cache::kReuse);
         const SimMetrics full = full_sim.evaluate(layout, offsets);
         expect_equivalent(inc, full, ("step " + std::to_string(t)).c_str());
     }
@@ -116,33 +114,34 @@ void run_equivalence_walk(LithoSim& inc_sim, const LithoSim& full_sim,
 TEST_F(LithoIncrementalTest, ViaClipRandomWalkMatchesFullEvaluate) {
     LithoSim inc_sim(*sim_);
     run_equivalence_walk(inc_sim, *sim_, via_layout(3, 21), /*seed=*/31, /*steps=*/12,
-                         /*dirty_fraction=*/0.1);
+                         /*move_fraction=*/0.1);
     EXPECT_GT(inc_sim.incremental_hit_count(), 0);
 }
 
 TEST_F(LithoIncrementalTest, MetalClipRandomWalkMatchesFullEvaluate) {
     LithoSim inc_sim(*sim_);
     run_equivalence_walk(inc_sim, *sim_, metal_layout(24, 22), /*seed=*/32, /*steps=*/10,
-                         /*dirty_fraction=*/0.08);
+                         /*move_fraction=*/0.08);
     EXPECT_GT(inc_sim.incremental_hit_count(), 0);
 }
 
-TEST_F(LithoIncrementalTest, LargeDirtySetsStillMatchAcrossFallback) {
-    // Dirty fractions straddling the fallback threshold: results must agree
+TEST_F(LithoIncrementalTest, LargeMovesStillMatchAcrossFallback) {
+    // Move fractions straddling the fallback threshold: results must agree
     // with the full path on both sides of the switch.
     LithoSim inc_sim(*sim_);
     run_equivalence_walk(inc_sim, *sim_, metal_layout(24, 23), /*seed=*/33, /*steps=*/6,
-                         /*dirty_fraction=*/0.45);
+                         /*move_fraction=*/0.45);
     EXPECT_GT(inc_sim.incremental_full_count(), 0);
 }
 
-TEST_F(LithoIncrementalTest, EmptyDirtySetReturnsCachedMetricsExactly) {
+TEST_F(LithoIncrementalTest, UnchangedOffsetsReturnCachedMetricsExactly) {
     LithoSim inc_sim(*sim_);
     const auto layout = via_layout(2, 24);
     std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()), 3);
 
-    const SimMetrics first = inc_sim.evaluate_incremental(layout, offsets);
-    const SimMetrics again = inc_sim.evaluate_incremental(layout, offsets, {});
+    const SimMetrics first = inc_sim.evaluate_incremental(layout, offsets, Cache::kPrime);
+    const SimMetrics again = inc_sim.evaluate_incremental(layout, offsets, Cache::kReuse);
+    EXPECT_EQ(inc_sim.incremental_full_count(), 1);
 
     ASSERT_EQ(first.epe_segment.size(), again.epe_segment.size());
     for (std::size_t i = 0; i < first.epe_segment.size(); ++i) {
@@ -151,56 +150,48 @@ TEST_F(LithoIncrementalTest, EmptyDirtySetReturnsCachedMetricsExactly) {
     EXPECT_EQ(first.sum_abs_epe, again.sum_abs_epe);
     EXPECT_EQ(first.pvband_nm2, again.pvband_nm2);
 
-    expect_equivalent(again, sim_->evaluate(layout, offsets), "empty dirty");
+    expect_equivalent(again, sim_->evaluate(layout, offsets), "unchanged offsets");
 }
 
 TEST_F(LithoIncrementalTest, FallbackThresholdBoundary) {
-    LithoConfig cfg = sim_->config();
-    cfg.incremental_fallback_fraction = 0.5;
-    LithoSim inc_sim(cfg);
+    LithoSim inc_sim(*sim_);
 
-    const auto layout = via_layout(4, 25);  // 16 segments -> boundary at 8
+    // 16 segments x kIncrementalFallbackFraction (0.3) = 4.8: four moved
+    // segments stay on the sparse path, five rebuild.
+    const auto layout = via_layout(4, 25);
     const int segments = layout.num_segments();
     ASSERT_EQ(segments, 16);
     std::vector<int> offsets(static_cast<std::size_t>(segments), 3);
-    (void)inc_sim.evaluate_incremental(layout, offsets);
+    (void)inc_sim.evaluate_incremental(layout, offsets, Cache::kPrime);
     const long long fulls0 = inc_sim.incremental_full_count();
 
-    // Exactly at the boundary: incremental.
-    std::vector<int> dirty;
-    for (int i = 0; i < 8; ++i) {
-        offsets[static_cast<std::size_t>(i)] += 1;
-        dirty.push_back(i);
-    }
-    SimMetrics m = inc_sim.evaluate_incremental(layout, offsets, dirty);
+    // Below the boundary: incremental.
+    for (int i = 0; i < 4; ++i) offsets[static_cast<std::size_t>(i)] += 1;
+    SimMetrics m = inc_sim.evaluate_incremental(layout, offsets, Cache::kReuse);
     EXPECT_EQ(inc_sim.incremental_full_count(), fulls0);
     EXPECT_EQ(inc_sim.incremental_hit_count(), 1);
     expect_equivalent(m, sim_->evaluate(layout, offsets), "at boundary");
 
     // One past the boundary: full rebuild.
-    dirty.clear();
-    for (int i = 0; i < 9; ++i) {
-        offsets[static_cast<std::size_t>(i)] -= 2;
-        dirty.push_back(i);
-    }
-    m = inc_sim.evaluate_incremental(layout, offsets, dirty);
+    for (int i = 0; i < 5; ++i) offsets[static_cast<std::size_t>(i)] -= 2;
+    m = inc_sim.evaluate_incremental(layout, offsets, Cache::kReuse);
     EXPECT_EQ(inc_sim.incremental_full_count(), fulls0 + 1);
     expect_equivalent(m, sim_->evaluate(layout, offsets), "past boundary");
 }
 
-TEST_F(LithoIncrementalTest, StaleDirtyHintDegradesGracefully) {
-    // The evaluator cross-checks the hint against its cached offsets: a
-    // caller that under-reports (here: claims nothing moved) still gets the
-    // right answer.
+TEST_F(LithoIncrementalTest, OffsetsChangedSinceLastCallStillMatchDense) {
+    // The evaluator diffs the offsets against its cached copy: whatever
+    // moved since the last call is what it re-rasterizes.
     LithoSim inc_sim(*sim_);
     const auto layout = via_layout(3, 26);
     std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()), 3);
-    (void)inc_sim.evaluate_incremental(layout, offsets);
+    (void)inc_sim.evaluate_incremental(layout, offsets, Cache::kPrime);
 
     offsets[2] += 4;
     offsets[5] -= 3;
-    const SimMetrics m = inc_sim.evaluate_incremental(layout, offsets, {});
-    expect_equivalent(m, sim_->evaluate(layout, offsets), "stale hint");
+    const SimMetrics m = inc_sim.evaluate_incremental(layout, offsets, Cache::kReuse);
+    EXPECT_EQ(inc_sim.incremental_hit_count(), 1);
+    expect_equivalent(m, sim_->evaluate(layout, offsets), "changed offsets");
 }
 
 TEST_F(LithoIncrementalTest, SameShapeDifferentLayoutIsNotMistakenForCached) {
@@ -215,9 +206,9 @@ TEST_F(LithoIncrementalTest, SameShapeDifferentLayoutIsNotMistakenForCached) {
     ASSERT_EQ(a.clip_size_nm(), b.clip_size_nm());
 
     std::vector<int> offsets(static_cast<std::size_t>(a.num_segments()), 3);
-    (void)inc_sim.evaluate_incremental(a, offsets);
+    (void)inc_sim.evaluate_incremental(a, offsets, Cache::kPrime);
 
-    const SimMetrics m = inc_sim.evaluate_incremental(b, offsets, {});
+    const SimMetrics m = inc_sim.evaluate_incremental(b, offsets, Cache::kReuse);
     EXPECT_EQ(inc_sim.incremental_full_count(), 2);
     expect_equivalent(m, sim_->evaluate(b, offsets), "same-shape switch");
 }
@@ -229,15 +220,66 @@ TEST_F(LithoIncrementalTest, LayoutSwitchTriggersFullRebuild) {
     std::vector<int> oa(static_cast<std::size_t>(a.num_segments()), 3);
     std::vector<int> ob(static_cast<std::size_t>(b.num_segments()), 3);
 
-    (void)inc_sim.evaluate_incremental(a, oa);
-    const std::vector<int> all_dirty_b = [&] {
-        std::vector<int> v(static_cast<std::size_t>(b.num_segments()));
-        for (int i = 0; i < b.num_segments(); ++i) v[static_cast<std::size_t>(i)] = i;
-        return v;
-    }();
-    const SimMetrics m = inc_sim.evaluate_incremental(b, ob, all_dirty_b);
+    (void)inc_sim.evaluate_incremental(a, oa, Cache::kPrime);
+    const SimMetrics m = inc_sim.evaluate_incremental(b, ob, Cache::kReuse);
     EXPECT_EQ(inc_sim.incremental_full_count(), 2);
     expect_equivalent(m, sim_->evaluate(b, ob), "layout switch");
+}
+
+void expect_bitwise_equal(const SimMetrics& a, const SimMetrics& b, const char* where) {
+    EXPECT_EQ(a.epe, b.epe) << where;
+    EXPECT_EQ(a.epe_segment, b.epe_segment) << where;
+    EXPECT_EQ(a.sum_abs_epe, b.sum_abs_epe) << where;
+    EXPECT_EQ(a.pvband_nm2, b.pvband_nm2) << where;
+}
+
+TEST_F(LithoIncrementalTest, PrimeIsIndependentOfCacheHistory) {
+    // kPrime at offsets Y must not depend on what the simulator evaluated
+    // before: batch determinism rests on it. The history here leaves the
+    // cache at nearby offsets X, where kReuse would take the sparse path.
+    const auto layout = metal_layout(24, 29);
+    const WindowSpec spec = WindowSpec::standard(sim_->config());
+    std::vector<int> x(static_cast<std::size_t>(layout.num_segments()), 3);
+    std::vector<int> y = x;
+    y[1] += 2;
+    y[4] -= 1;
+    x[7] += 1;
+
+    const auto other = via_layout(3, 30);
+    LithoSim used(*sim_);
+    (void)used.evaluate_incremental(
+        other, std::vector<int>(static_cast<std::size_t>(other.num_segments()), 1), Cache::kPrime);
+    (void)used.evaluate_incremental(layout, x, Cache::kReuse);
+    const SimMetrics primed = used.evaluate_incremental(layout, y, Cache::kPrime);
+    LithoSim fresh(*sim_);
+    expect_bitwise_equal(primed, fresh.evaluate_incremental(layout, y, Cache::kPrime), "nominal");
+
+    (void)used.evaluate_window_incremental(layout, x, spec, Cache::kReuse);
+    const WindowMetrics wprimed = used.evaluate_window_incremental(layout, y, spec, Cache::kPrime);
+    LithoSim wfresh(*sim_);
+    const WindowMetrics wref = wfresh.evaluate_window_incremental(layout, y, spec, Cache::kPrime);
+    ASSERT_EQ(wprimed.corners.size(), wref.corners.size());
+    for (std::size_t c = 0; c < wref.corners.size(); ++c) {
+        expect_bitwise_equal(wprimed.corners[c].metrics, wref.corners[c].metrics, "window corner");
+        EXPECT_EQ(wprimed.corners[c].printed_area_nm2, wref.corners[c].printed_area_nm2);
+    }
+    EXPECT_EQ(wprimed.worst_epe, wref.worst_epe);
+    EXPECT_EQ(wprimed.pv_band_exact_nm2, wref.pv_band_exact_nm2);
+    EXPECT_EQ(wprimed.pv_band_two_corner_nm2, wref.pv_band_two_corner_nm2);
+}
+
+TEST_F(LithoIncrementalTest, RejectsFocusPlaneWithDifferentSupport) {
+    // The cached spectrum is indexed by the one nominal support: a focus
+    // plane sampling other frequencies cannot be served from it.
+    const KernelSet& nominal = sim_->nominal_kernels();
+    KernelSet tampered = sim_->defocus_kernels();
+    ASSERT_EQ(tampered.support_size(), nominal.support_size());
+    tampered.support.pop_back();
+    for (auto& coeffs : tampered.coeffs) coeffs.pop_back();
+    EXPECT_THROW(IncrementalEvaluator(sim_->config(), sim_->threshold(), nominal, tampered),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(IncrementalEvaluator(sim_->config(), sim_->threshold(), nominal,
+                                         sim_->defocus_kernels()));
 }
 
 // ---- Golden-metrics regression fixtures ------------------------------------
@@ -342,21 +384,19 @@ TEST_F(LithoIncrementalTest, GoldenMetricsBothPaths) {
         EXPECT_NEAR(full.pvband_nm2, golden_pvb, kGoldenPvbTolNm2) << c.name << " full path";
 
         // The incremental path must reproduce the same goldens after
-        // arriving at the golden offsets through a sequence of small dirty
-        // sets (the state it would be in mid-OPC).
+        // arriving at the golden offsets through a sequence of small moves
+        // (the state it would be in mid-OPC).
         LithoSim inc_sim(*sim_);
         std::vector<int> offsets(static_cast<std::size_t>(c.layout.num_segments()), 0);
-        (void)inc_sim.evaluate_incremental(c.layout, offsets);
+        (void)inc_sim.evaluate_incremental(c.layout, offsets, Cache::kPrime);
         const int chunk = std::max(1, c.layout.num_segments() / 12);
         SimMetrics inc;
         int cursor = 0;
         while (cursor < c.layout.num_segments()) {
-            std::vector<int> dirty;
             for (int j = 0; j < chunk && cursor < c.layout.num_segments(); ++j, ++cursor) {
                 offsets[static_cast<std::size_t>(cursor)] = c.offsets[static_cast<std::size_t>(cursor)];
-                dirty.push_back(cursor);
             }
-            inc = inc_sim.evaluate_incremental(c.layout, offsets, dirty);
+            inc = inc_sim.evaluate_incremental(c.layout, offsets, Cache::kReuse);
         }
         ASSERT_GT(inc_sim.incremental_hit_count(), 0) << c.name;
 

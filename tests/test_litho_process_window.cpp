@@ -194,9 +194,10 @@ TEST_F(ProcessWindowTest, OneRasterizationServesAllCorners) {
     // Prime the cache (one full rebuild), then sweep at unchanged offsets:
     // no rebuild, no sparse delta — the cached raster + spectrum serve all
     // six corners outright.
-    (void)inc_sim.evaluate_incremental(layout, offsets);
+    (void)inc_sim.evaluate_incremental(layout, offsets, Cache::kPrime);
     EXPECT_EQ(inc_sim.incremental_full_count(), 1);
-    const WindowMetrics warm = inc_sim.evaluate_window_incremental(layout, offsets, spec);
+    const WindowMetrics warm =
+        inc_sim.evaluate_window_incremental(layout, offsets, spec, Cache::kReuse);
     EXPECT_EQ(inc_sim.incremental_full_count(), 1);
     EXPECT_EQ(inc_sim.incremental_hit_count(), 1);
 
@@ -204,7 +205,8 @@ TEST_F(ProcessWindowTest, OneRasterizationServesAllCorners) {
     // delta-DFT and still never re-rasterizes the clip.
     offsets[0] += 2;
     offsets[2] -= 1;
-    const WindowMetrics moved = inc_sim.evaluate_window_incremental(layout, offsets, spec);
+    const WindowMetrics moved =
+        inc_sim.evaluate_window_incremental(layout, offsets, spec, Cache::kReuse);
     EXPECT_EQ(inc_sim.incremental_full_count(), 1);
     EXPECT_EQ(inc_sim.incremental_hit_count(), 2);
 
@@ -228,10 +230,12 @@ TEST_F(ProcessWindowTest, OneRasterizationServesAllCorners) {
                     kIncrementalEpeTolNm * static_cast<double>(layout.num_segments()));
     }
 
-    // Interleaving: a plain evaluate() after the sweep still sees a
-    // consistent cache (unchanged offsets return cached metrics that match a
-    // fresh full evaluation).
-    const SimMetrics after = inc_sim.evaluate_incremental(layout, offsets, {});
+    // Interleaving: a nominal evaluation after the sweep still sees a
+    // consistent cache (the sweep marked the cached nominal metrics stale;
+    // unchanged offsets recompute them from the cache without a rebuild,
+    // matching a fresh full evaluation).
+    const SimMetrics after = inc_sim.evaluate_incremental(layout, offsets, Cache::kReuse);
+    EXPECT_EQ(inc_sim.incremental_full_count(), 1);
     const SimMetrics fresh = sim_->evaluate(layout, offsets);
     ASSERT_EQ(after.epe_segment.size(), fresh.epe_segment.size());
     for (std::size_t i = 0; i < after.epe_segment.size(); ++i) {
@@ -247,7 +251,7 @@ TEST_F(ProcessWindowTest, IncrementalWindowTracksDenseAcrossWalk) {
     Rng rng(91);
     std::vector<int> offsets(static_cast<std::size_t>(segments), 3);
 
-    (void)inc_sim.evaluate_incremental(layout, offsets);
+    (void)inc_sim.evaluate_incremental(layout, offsets, Cache::kPrime);
     for (int t = 0; t < 6; ++t) {
         const int moves = std::max(1, segments / 12);
         for (int j = 0; j < moves; ++j) {
@@ -255,7 +259,8 @@ TEST_F(ProcessWindowTest, IncrementalWindowTracksDenseAcrossWalk) {
             offsets[static_cast<std::size_t>(i)] = std::clamp(
                 offsets[static_cast<std::size_t>(i)] + rng.uniform_int(-2, 2), -15, 15);
         }
-        const WindowMetrics inc = inc_sim.evaluate_window_incremental(layout, offsets, spec);
+        const WindowMetrics inc =
+            inc_sim.evaluate_window_incremental(layout, offsets, spec, Cache::kReuse);
         const WindowMetrics dense = sim_->evaluate_window(layout, offsets, spec);
         ASSERT_EQ(inc.corners.size(), dense.corners.size()) << "step " << t;
         for (std::size_t c = 0; c < dense.corners.size(); ++c) {
@@ -292,6 +297,51 @@ TEST_F(ProcessWindowTest, ExtraFocusPlaneInterpolatesKernels) {
         EXPECT_LE(far, mid + px2) << "dose " << d;
         EXPECT_LE(mid, best + px2) << "dose " << d;
     }
+}
+
+TEST_F(ProcessWindowTest, CachedExtraFocusPlaneTracksDenseAcrossWalk) {
+    // The mid plane is not one of the simulator's standard kernel sets: the
+    // cached sweep acquires it on first use and images it from the same
+    // support spectrum as the standard planes.
+    LithoSim inc_sim(*sim_);
+    const auto layout = metal_layout(24, 23);
+    const int segments = layout.num_segments();
+    WindowSpec spec;
+    spec.doses = {0.98, 1.02};
+    spec.defocus_nm = {0.0, sim_->config().defocus_nm / 2.0, sim_->config().defocus_nm};
+    std::vector<int> offsets(static_cast<std::size_t>(segments), 3);
+
+    const auto expect_tracks_dense = [&](const WindowMetrics& inc, int t) {
+        const WindowMetrics dense = sim_->evaluate_window(layout, offsets, spec);
+        ASSERT_EQ(inc.corners.size(), dense.corners.size()) << "step " << t;
+        for (std::size_t c = 0; c < dense.corners.size(); ++c) {
+            const auto& a = inc.corners[c].metrics.epe_segment;
+            const auto& b = dense.corners[c].metrics.epe_segment;
+            ASSERT_EQ(a.size(), b.size());
+            for (std::size_t i = 0; i < a.size(); ++i) {
+                EXPECT_NEAR(a[i], b[i], kIncrementalEpeTolNm)
+                    << "step " << t << " corner " << c << " seg " << i;
+            }
+        }
+        EXPECT_NEAR(inc.pv_band_exact_nm2, dense.pv_band_exact_nm2, kPvbTolNm2) << "step " << t;
+    };
+
+    expect_tracks_dense(inc_sim.evaluate_window_incremental(layout, offsets, spec, Cache::kPrime),
+                        -1);
+    Rng rng(93);
+    const int steps = 4;
+    for (int t = 0; t < steps; ++t) {
+        // Two segments move by a nonzero step each time: every step takes
+        // the sparse path.
+        for (int j = 0; j < 2; ++j) {
+            const int i = rng.uniform_int(0, segments - 1);
+            offsets[static_cast<std::size_t>(i)] += (t % 2 == 0) ? 1 : -1;
+        }
+        expect_tracks_dense(
+            inc_sim.evaluate_window_incremental(layout, offsets, spec, Cache::kReuse), t);
+    }
+    EXPECT_EQ(inc_sim.incremental_full_count(), 1);
+    EXPECT_EQ(inc_sim.incremental_hit_count(), steps);
 }
 
 // ---- Golden window fixtures ------------------------------------------------

@@ -272,7 +272,8 @@ TEST_F(WindowRewardSimTest, IncrementalRewardMatchesDenseWithinContractEpsilon) 
         const int segments = layout.num_segments();
         std::vector<int> offsets(static_cast<std::size_t>(segments), 3);
 
-        litho::WindowMetrics inc_prev = inc_sim.evaluate_window_prime(layout, offsets, spec);
+        litho::WindowMetrics inc_prev =
+            inc_sim.evaluate_window_incremental(layout, offsets, spec, litho::Cache::kPrime);
         litho::WindowMetrics dense_prev = sim_->evaluate_window(layout, offsets, spec);
         Rng rng(97 + segments);
 
@@ -285,7 +286,7 @@ TEST_F(WindowRewardSimTest, IncrementalRewardMatchesDenseWithinContractEpsilon) 
                     offsets[static_cast<std::size_t>(i)] + rng.uniform_int(-2, 2), -15, 15);
             }
             const litho::WindowMetrics inc =
-                inc_sim.evaluate_window_incremental(layout, offsets, spec);
+                inc_sim.evaluate_window_incremental(layout, offsets, spec, litho::Cache::kReuse);
             const litho::WindowMetrics dense = sim_->evaluate_window(layout, offsets, spec);
 
             const double r_inc = window_step_reward(inc_prev, inc, cfg);
@@ -376,24 +377,19 @@ TEST_F(WindowRewardSimTest, NominalObjectiveIsBitIdenticalToLegacyLoop) {
     litho::LithoSim sim_a(*sim_);
     const opc::EngineResult res = engine.optimize(layout, sim_a, opt);
 
-    // Hand-rolled legacy loop: prime + dirty-set evaluations, same protocol.
+    // Hand-rolled legacy loop: one priming evaluation, then cached ones.
     litho::LithoSim sim_b(*sim_);
     std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()), 3);
-    litho::SimMetrics m = sim_b.evaluate_incremental(layout, offsets);
+    litho::SimMetrics m = sim_b.evaluate_incremental(layout, offsets, litho::Cache::kPrime);
     EXPECT_EQ(res.epe_history.front(), m.sum_abs_epe);
     for (int it = 0; it < opt.max_iterations; ++it) {
-        std::vector<int> dirty;
         for (std::size_t i = 0; i < offsets.size(); ++i) {
             const double desired = -0.6 * m.epe_segment[i];
             const int step = std::clamp(static_cast<int>(std::lround(desired)), -2, 2);
-            const int next = std::clamp(offsets[i] + step, -opt.max_total_offset_nm,
-                                        opt.max_total_offset_nm);
-            if (next != offsets[i]) {
-                offsets[i] = next;
-                dirty.push_back(static_cast<int>(i));
-            }
+            offsets[i] = std::clamp(offsets[i] + step, -opt.max_total_offset_nm,
+                                    opt.max_total_offset_nm);
         }
-        m = sim_b.evaluate_incremental(layout, offsets, dirty);
+        m = sim_b.evaluate_incremental(layout, offsets, litho::Cache::kReuse);
         EXPECT_EQ(res.epe_history[static_cast<std::size_t>(it) + 1], m.sum_abs_epe) << it;
         EXPECT_EQ(res.pvb_history[static_cast<std::size_t>(it) + 1], m.pvband_nm2) << it;
     }
