@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.hpp"
-#include "common/timer.hpp"
 #include "nn/grad_buffer.hpp"
 #include "nn/softmax.hpp"
 #include "obs/trace.hpp"
@@ -42,13 +41,6 @@ obs::MetricId reduce_hist() {
 obs::MetricId reduction_counter() {
     static const obs::MetricId id = obs::register_counter("train.grad_reductions");
     return id;
-}
-
-// Applies the chosen actions, clamping each total offset into +/- bound.
-void apply_actions(std::vector<int>& offsets, const std::vector<int>& actions, int bound) {
-    for (std::size_t i = 0; i < offsets.size(); ++i) {
-        offsets[i] = std::clamp(offsets[i] + rl::action_to_move(actions[i]), -bound, bound);
-    }
 }
 
 std::array<double, rl::kNumActions> node_probs(const nn::Tensor& logits, int node) {
@@ -127,19 +119,13 @@ struct CamoEngine::TrainRuntime {
 };
 
 CamoEngine::CamoEngine(CamoConfig cfg)
-    : cfg_(std::move(cfg)), policy_(cfg_.policy) {
+    : cfg_(std::move(cfg)),
+      policy_(cfg_.policy),
+      adam_(policy_.params(), nn::Adam::Options{.lr = cfg_.lr,
+                                                .clip_norm = cfg_.clip_norm,
+                                                .weight_decay = cfg_.weight_decay}) {
     if (cfg_.squish.size != cfg_.policy.squish_size) {
         throw std::invalid_argument("CamoEngine: squish.size != policy.squish_size");
-    }
-    if (cfg_.optimizer == CamoConfig::Optimizer::kAdam) {
-        adam_.emplace(policy_.params(), nn::Adam::Options{.lr = cfg_.lr,
-                                                          .clip_norm = cfg_.clip_norm,
-                                                          .weight_decay = cfg_.weight_decay});
-    } else {
-        sgd_.emplace(policy_.params(), nn::Sgd::Options{.lr = cfg_.lr,
-                                                        .momentum = cfg_.momentum,
-                                                        .clip_norm = cfg_.clip_norm,
-                                                        .weight_decay = cfg_.weight_decay});
     }
 }
 
@@ -164,11 +150,7 @@ CamoEngine::TrainRuntime& CamoEngine::train_runtime() {
 }
 
 void CamoEngine::optimizer_step() {
-    if (adam_) {
-        adam_->step();
-    } else {
-        sgd_->step();
-    }
+    adam_.step();
     // The optimizers mutate weights through Parameter pointers captured at
     // construction; the packed inference plan cannot see that, so stale it
     // explicitly.
@@ -196,46 +178,16 @@ opc::EngineResult CamoEngine::optimize(const geo::SegmentedLayout& layout, litho
 
 opc::EngineResult CamoEngine::infer(const geo::SegmentedLayout& layout, litho::LithoSim& sim,
                                     const opc::OpcOptions& opt, Rng* rng) const {
-    Timer timer;
-    opc::EngineResult res;
-    const opc::WindowObjective objective(opt, sim.config(), cfg_.reward);
+    opc::Rollout rollout(layout, sim, opt, cfg_.reward);
     const Graph graph = build_segment_graph(layout, cfg_.graph_threshold_nm);
-
-    std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()),
-                             opt.initial_bias_nm);
-    // First evaluation primes the per-clip incremental cache; iterations then
-    // re-evaluate only what the actions touched (nominal mode: the sparse
-    // delta path; window modes: one cached-spectrum sweep serving every
-    // corner).
-    litho::SimMetrics m =
-        objective.evaluate(sim, layout, offsets, litho::Cache::kPrime, &res.final_window);
-    res.epe_history.push_back(m.sum_abs_epe);
-    res.pvb_history.push_back(m.pvband_nm2);
-
-    const int features = static_cast<int>(layout.targets().size());
-    const int points = static_cast<int>(m.epe.size());
-
     // A segment-free layout has no actions to take: the primed metrics are
     // already the fixed point, and the policy cannot run on an empty node set.
     const int steps = layout.num_segments() > 0 ? opt.max_iterations : 0;
-    for (int it = 0; it < steps; ++it) {
-        if (opc::should_exit_early(m.sum_abs_epe, features, points, opt)) break;
-
-        const auto feats = encode_state(layout, offsets);
-        const nn::Tensor logits = policy_.infer(feats, graph);
-        const auto actions = pick_actions(logits, m.epe_segment, cfg_.modulator, rng);
-
-        apply_actions(offsets, actions, opt.max_total_offset_nm);
-        m = objective.evaluate(sim, layout, offsets, litho::Cache::kReuse, &res.final_window);
-        res.epe_history.push_back(m.sum_abs_epe);
-        res.pvb_history.push_back(m.pvband_nm2);
-        ++res.iterations;
-    }
-
-    res.final_offsets = std::move(offsets);
-    res.final_metrics = std::move(m);
-    res.runtime_s = timer.seconds();
-    return res;
+    return rollout.run(steps, true, [&](const opc::Rollout& r) {
+        const nn::Tensor logits = policy_.infer(encode_state(layout, r.offsets()), graph);
+        return rl::actions_to_moves(
+            pick_actions(logits, r.metrics().epe_segment, cfg_.modulator, rng));
+    });
 }
 
 Phase1Dataset CamoEngine::collect_teacher_data(const std::vector<geo::SegmentedLayout>& clips,
@@ -532,42 +484,26 @@ double CamoEngine::run_phase2_episode(const std::vector<geo::SegmentedLayout>& c
     if (clip_sims.size() != clips.size()) {
         throw std::invalid_argument("run_phase2_episode: clip_sims/clips size mismatch");
     }
-    if (clips.empty()) return 0.0;  // degenerate episode: nothing to roll out
-    const opc::WindowObjective objective(opt, clip_sims.front().config(), cfg_.reward);
 
-    // Lockstep data-parallel rollout: at time step t every active clip acts
-    // with the same weight snapshot, each against its own simulator (whose
-    // incremental cache then carries that clip's state across steps) and its
-    // own splitmix RNG stream keyed by (seed, episode, clip) — never by
-    // scheduling order. The clips' Eq. (7) gradients are reduced in clip
-    // order and one optimizer step closes the wave.
-    struct ClipState {
-        bool active = false;
-        std::vector<int> offsets;
-        litho::SimMetrics m;
-        std::optional<litho::WindowMetrics> window_before;
-        std::optional<litho::WindowMetrics> window_after;
-        int features = 0;
-        int points = 0;
-        double reward = 0.0;
-        std::optional<Rng> rng;
-    };
-
-    std::vector<ClipState> st(clips.size());
+    // Lockstep data-parallel rollout: at time step t every clip that has not
+    // hit an early-exit rule acts with the same weight snapshot, each against
+    // its own simulator (whose incremental cache then carries that clip's
+    // state across steps) and its own splitmix RNG stream keyed by (seed,
+    // episode, clip) — never by scheduling order. The clips' Eq. (7)
+    // gradients are reduced in clip order and one optimizer step closes the
+    // wave. Segment-free clips get no rollout.
     const std::uint64_t episode_seed = derive_seed(cfg_.seed ^ 0x5A17ULL,
                                                    static_cast<std::uint64_t>(episode));
+    std::vector<std::optional<opc::Rollout>> rollouts(clips.size());
+    std::vector<Rng> rngs;
+    rngs.reserve(clips.size());
     for (std::size_t c = 0; c < clips.size(); ++c) {
-        const geo::SegmentedLayout& layout = clips[c];
-        if (layout.num_segments() == 0) continue;  // degenerate clip: no rollout
-        ClipState& s = st[c];
-        s.offsets.assign(static_cast<std::size_t>(layout.num_segments()), opt.initial_bias_nm);
-        s.m = objective.evaluate(clip_sims[c], layout, s.offsets, litho::Cache::kPrime,
-                                 &s.window_before);
-        s.features = static_cast<int>(layout.targets().size());
-        s.points = static_cast<int>(s.m.epe.size());
-        s.rng.emplace(derive_seed(episode_seed, static_cast<std::uint64_t>(c)));
-        s.active = true;
+        if (clips[c].num_segments() > 0) {
+            rollouts[c].emplace(clips[c], clip_sims[c], opt, cfg_.reward);
+        }
+        rngs.emplace_back(derive_seed(episode_seed, static_cast<std::uint64_t>(c)));
     }
+    std::vector<double> rewards(clips.size(), 0.0);
 
     TrainRuntime& rt = train_runtime();
     double reward_sum = 0.0;
@@ -579,36 +515,22 @@ double CamoEngine::run_phase2_episode(const std::vector<geo::SegmentedLayout>& c
         const obs::Span wave_span("train.phase2.wave", phase2_wave_hist());
         wave.clear();
         for (std::size_t c = 0; c < clips.size(); ++c) {
-            ClipState& s = st[c];
-            if (!s.active) continue;
-            if (opc::should_exit_early(s.m.sum_abs_epe, s.features, s.points, opt)) {
-                s.active = false;
-                continue;
-            }
-            wave.push_back(static_cast<int>(c));
+            if (rollouts[c] && !rollouts[c]->should_exit()) wave.push_back(static_cast<int>(c));
         }
         if (wave.empty()) break;
         buffers.assign(wave.size(), nn::GradBuffer{});
 
         const auto run_clip = [&](PolicyNetwork& net, std::size_t k) {
             const std::size_t c = static_cast<std::size_t>(wave[k]);
-            const geo::SegmentedLayout& layout = clips[c];
-            ClipState& s = st[c];
+            opc::Rollout& rollout = *rollouts[c];
 
-            const auto feats = encode_state(layout, s.offsets);
-            const nn::Tensor logits = net.forward(feats, graphs[c]);
-            const auto actions = pick_actions(logits, s.m.epe_segment, cfg_.modulator, &*s.rng);
-
-            apply_actions(s.offsets, actions, opt.max_total_offset_nm);
-            const litho::SimMetrics m2 = objective.evaluate(clip_sims[c], layout, s.offsets,
-                                                            litho::Cache::kReuse, &s.window_after);
-            const double r =
-                objective.active()
-                    ? rl::window_step_reward(*s.window_before, *s.window_after,
-                                             objective.reward())
-                    : rl::step_reward(s.m.sum_abs_epe, m2.sum_abs_epe, s.m.pvband_nm2,
-                                      m2.pvband_nm2, cfg_.reward);
-            s.reward = r;
+            const nn::Tensor logits =
+                net.forward(encode_state(clips[c], rollout.offsets()), graphs[c]);
+            const auto actions =
+                pick_actions(logits, rollout.metrics().epe_segment, cfg_.modulator, &rngs[c]);
+            rollout.step(rl::actions_to_moves(actions));
+            const double r = rollout.step_reward();
+            rewards[c] = r;
 
             // Eq. (7): gradient ascent on r * log pi(a|s), computed on the
             // unmodulated policy output.
@@ -629,8 +551,6 @@ double CamoEngine::run_phase2_episode(const std::vector<geo::SegmentedLayout>& c
             }
             net.backward(dlogits);
             buffers[k].capture(net.params());
-            s.m = m2;
-            s.window_before = std::move(s.window_after);
         };
 
         if (rt.pool && wave.size() > 1) {
@@ -648,7 +568,7 @@ double CamoEngine::run_phase2_episode(const std::vector<geo::SegmentedLayout>& c
             nn::reduce_in_order(buffers, policy_.params());
         }
         for (int c : wave) {
-            reward_sum += st[static_cast<std::size_t>(c)].reward;
+            reward_sum += rewards[static_cast<std::size_t>(c)];
             ++reward_count;
         }
         optimizer_step();

@@ -3,8 +3,8 @@
 // The paper trains with plain SGD (lr 3e-4, 500 epochs, GPU). On a CPU
 // budget the same architecture trains an order of magnitude faster under
 // Adam because the discriminative gradient component — tiny next to the
-// common mode in imitation data — is rescaled per parameter. Both
-// optimizers are provided; CamoConfig::optimizer selects one.
+// common mode in imitation data — is rescaled per parameter. CamoEngine
+// trains with Adam; nn::Sgd remains available as a standalone optimizer.
 #pragma once
 
 #include <vector>

@@ -76,7 +76,8 @@ public:
                                   const OpcOptions& opt) = 0;
 };
 
-/// True when either early-exit rule fires.
+/// True when either early-exit rule fires (opc::Rollout::should_exit applies
+/// it to the current objective).
 bool should_exit_early(double sum_abs_epe, int num_features, int num_points,
                        const OpcOptions& opt);
 

@@ -98,27 +98,79 @@ litho::WindowSpec resolve_objective_window(const litho::WindowSpec& window,
     return spec;
 }
 
-WindowObjective::WindowObjective(const OpcOptions& opt, const litho::LithoConfig& cfg,
-                                 const rl::RewardConfig& base) {
+bool should_exit_early(double sum_abs_epe, int num_features, int num_points,
+                       const OpcOptions& opt) {
+    if (opt.exit_epe_per_feature > 0.0 && num_features > 0 &&
+        sum_abs_epe / num_features < opt.exit_epe_per_feature) {
+        return true;
+    }
+    if (opt.exit_epe_per_point > 0.0 && num_points > 0 &&
+        sum_abs_epe / num_points < opt.exit_epe_per_point) {
+        return true;
+    }
+    return false;
+}
+
+Rollout::Rollout(const geo::SegmentedLayout& layout, litho::LithoSim& sim, const OpcOptions& opt,
+                 const rl::RewardConfig& base)
+    : layout_(layout), sim_(sim), opt_(opt) {
     reward_.base = base;
     reward_.mode = opt.objective;
     reward_.corner_weights = opt.corner_weights;
-    if (!active()) return;
-    spec_ = resolve_objective_window(opt.window, reward_, cfg);
+    if (reward_.mode != rl::RewardMode::kNominal) {
+        spec_ = resolve_objective_window(opt.window, reward_, sim.config());
+    }
+    res_.final_offsets.assign(static_cast<std::size_t>(layout.num_segments()),
+                              opt.initial_bias_nm);
+    evaluate(litho::Cache::kPrime);
+    points_ = static_cast<int>(res_.final_metrics.epe.size());
 }
 
-litho::SimMetrics WindowObjective::evaluate(litho::LithoSim& sim,
-                                            const geo::SegmentedLayout& layout,
-                                            std::span<const int> offsets, litho::Cache mode,
-                                            std::optional<litho::WindowMetrics>* window) const {
-    if (!active()) {
-        if (window != nullptr) window->reset();
-        return sim.evaluate_incremental(layout, offsets, mode);
+void Rollout::evaluate(litho::Cache mode) {
+    if (reward_.mode == rl::RewardMode::kNominal) {
+        res_.final_metrics = sim_.evaluate_incremental(layout_, res_.final_offsets, mode);
+    } else {
+        litho::WindowMetrics wm =
+            sim_.evaluate_window_incremental(layout_, res_.final_offsets, spec_, mode);
+        res_.final_metrics = objective_view(wm, reward_);
+        res_.final_window = std::move(wm);
     }
-    litho::WindowMetrics wm = sim.evaluate_window_incremental(layout, offsets, spec_, mode);
-    litho::SimMetrics view = objective_view(wm, reward_);
-    if (window != nullptr) *window = std::move(wm);
-    return view;
+    res_.epe_history.push_back(res_.final_metrics.sum_abs_epe);
+    res_.pvb_history.push_back(res_.final_metrics.pvband_nm2);
+}
+
+void Rollout::step(std::span<const int> moves) {
+    std::vector<int>& offsets = res_.final_offsets;
+    if (moves.size() != offsets.size()) {
+        throw std::invalid_argument("Rollout::step: one move per segment required");
+    }
+    const int bound = opt_.max_total_offset_nm;
+    for (std::size_t i = 0; i < offsets.size(); ++i) {
+        offsets[i] = std::clamp(offsets[i] + moves[i], -bound, bound);
+    }
+    epe_before_ = res_.final_metrics.sum_abs_epe;
+    pvb_before_ = res_.final_metrics.pvband_nm2;
+    window_before_ = std::move(res_.final_window);
+    evaluate(litho::Cache::kReuse);
+    ++res_.iterations;
+}
+
+bool Rollout::should_exit() const {
+    return should_exit_early(res_.final_metrics.sum_abs_epe,
+                             static_cast<int>(layout_.targets().size()), points_, opt_);
+}
+
+double Rollout::step_reward() const {
+    if (reward_.mode == rl::RewardMode::kNominal) {
+        return rl::step_reward(epe_before_, res_.final_metrics.sum_abs_epe, pvb_before_,
+                               res_.final_metrics.pvband_nm2, reward_.base);
+    }
+    return rl::window_step_reward(*window_before_, *res_.final_window, reward_);
+}
+
+EngineResult Rollout::finish() {
+    res_.runtime_s = timer_.seconds();
+    return std::move(res_);
 }
 
 }  // namespace camo::opc

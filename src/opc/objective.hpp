@@ -1,21 +1,27 @@
-// Shared window-objective plumbing for the segment-based OPC engines.
+// The segment-OPC rollout every segment-moving engine shares.
 //
-// Every engine iterates the same way: evaluate the mask, read per-segment
-// EPE as the feedback signal, test the early-exit rules on the scalar sum,
-// move segments, repeat. WindowObjective generalizes that loop over the
-// reward modes: in kNominal mode it is a zero-cost pass-through to the
-// legacy incremental evaluation (bit-identical); in the window modes it
-// evaluates the full dose x focus grid through the cached support spectrum
-// (LithoSim::evaluate_window_incremental — one sparse delta-DFT per step
-// serving every corner) and reduces the sweep to a SimMetrics "view" whose
-// per-segment EPE, scalar sum and PV band are the objective's. The rule,
-// one-shot and CAMO engines all drive their feedback off the view, so the
-// nominal-vs-window ablation compares engines under identical protocols.
+// The rule engine, its phase-1 teacher, the one-shot engine, CAMO inference
+// and CAMO's phase-2 episodes all run one protocol: start every segment at
+// the initial bias, evaluate the mask, read per-segment EPE as the feedback
+// signal, test the early-exit rules on the scalar sum, move segments, repeat.
+// opc::Rollout owns that protocol; an engine contributes only its move rule.
+//
+// Rollout is the only place the segment engines touch the simulator's
+// incremental cache: its constructor evaluates with litho::Cache::kPrime (a
+// full rebuild, so a run never depends on what the simulator evaluated
+// before) and every step re-evaluates with litho::Cache::kReuse. Under the
+// window reward modes each evaluation sweeps the dose x focus grid through
+// the cached support spectrum (one sparse delta-DFT per step serving every
+// corner) and reduces it to the objective view below, so the
+// nominal-vs-window ablation compares engines under identical protocols; in
+// kNominal mode it is the plain cached nominal evaluation.
 #pragma once
 
-#include <optional>
 #include <span>
+#include <utility>
+#include <vector>
 
+#include "common/timer.hpp"
 #include "opc/engine.hpp"
 
 namespace camo::opc {
@@ -37,39 +43,71 @@ litho::SimMetrics objective_view(const litho::WindowMetrics& wm,
 /// Resolve a window-objective spec against the simulator's config: a fully
 /// empty window becomes litho::WindowSpec::standard(cfg); the spec and the
 /// reward config (mode + corner weights) are then validated. Shared by
-/// WindowObjective and the ILT engine so resolution semantics cannot drift.
+/// Rollout and the ILT engine so resolution semantics cannot drift.
 litho::WindowSpec resolve_objective_window(const litho::WindowSpec& window,
                                            const rl::WindowRewardConfig& reward,
                                            const litho::LithoConfig& cfg);
 
-/// Resolved window-objective context for one engine run. Construction
-/// resolves opt.objective / opt.window / opt.corner_weights against the
-/// simulator's config (empty window axes become the standard window) and
-/// validates the spec and weights; in kNominal mode it is inert.
-class WindowObjective {
+/// One segment-OPC run of one clip. Construction resolves opt.objective /
+/// opt.window / opt.corner_weights against the simulator's config (empty
+/// window axes become the standard window; spec and weights are validated),
+/// starts every segment at opt.initial_bias_nm and primes the simulator's
+/// cache with the first evaluation. `layout`, `sim` and `opt` must outlive
+/// the rollout.
+class Rollout {
 public:
-    WindowObjective(const OpcOptions& opt, const litho::LithoConfig& cfg,
-                    const rl::RewardConfig& base = {});
+    Rollout(const geo::SegmentedLayout& layout, litho::LithoSim& sim, const OpcOptions& opt,
+            const rl::RewardConfig& base = {});
 
-    [[nodiscard]] bool active() const { return reward_.mode != rl::RewardMode::kNominal; }
-    [[nodiscard]] const litho::WindowSpec& spec() const { return spec_; }
-    [[nodiscard]] const rl::WindowRewardConfig& reward() const { return reward_; }
+    /// Adds `moves` (nm, one per segment) to the offsets, clamps every total
+    /// offset into +/- opt.max_total_offset_nm and re-evaluates the mask.
+    void step(std::span<const int> moves);
 
-    /// One cached evaluation of the clip: nominal mode forwards to
-    /// LithoSim::evaluate_incremental (bit-identical to the legacy loop),
-    /// window modes ride evaluate_window_incremental and return the
-    /// objective view. Engines pass Cache::kPrime for a clip's first
-    /// evaluation, so job results never depend on what the simulator saw
-    /// before, and Cache::kReuse inside the loop. `window` (when non-null)
-    /// receives the sweep's per-corner metrics in the window modes and is
-    /// reset in nominal mode.
-    litho::SimMetrics evaluate(litho::LithoSim& sim, const geo::SegmentedLayout& layout,
-                               std::span<const int> offsets, litho::Cache mode,
-                               std::optional<litho::WindowMetrics>* window = nullptr) const;
+    /// True when either early-exit rule fires on the current objective.
+    [[nodiscard]] bool should_exit() const;
+
+    /// Eq. (3) reward of the last step: rl::window_step_reward on the
+    /// before/after sweeps under a window objective, rl::step_reward on the
+    /// before/after scalars in kNominal mode. Requires a step.
+    [[nodiscard]] double step_reward() const;
+
+    [[nodiscard]] const std::vector<int>& offsets() const { return res_.final_offsets; }
+
+    /// The objective view of the current mask (see objective_view).
+    [[nodiscard]] const litho::SimMetrics& metrics() const { return res_.final_metrics; }
+
+    /// Per-corner metrics of the current mask; empty in kNominal mode.
+    [[nodiscard]] const std::optional<litho::WindowMetrics>& window() const {
+        return res_.final_window;
+    }
+
+    /// Runs the loop: up to `steps` steps, each applying `next_moves(*this)`;
+    /// when `early_exit` is set, stops as soon as should_exit() holds.
+    /// Returns the run as an EngineResult (runtime measured from
+    /// construction); the rollout is spent afterwards.
+    template <typename MoveRule>
+    EngineResult run(int steps, bool early_exit, MoveRule&& next_moves) {
+        for (int t = 0; t < steps && !(early_exit && should_exit()); ++t) {
+            step(next_moves(std::as_const(*this)));
+        }
+        return finish();
+    }
 
 private:
+    void evaluate(litho::Cache mode);
+    EngineResult finish();
+
+    const geo::SegmentedLayout& layout_;
+    litho::LithoSim& sim_;
+    const OpcOptions& opt_;
     rl::WindowRewardConfig reward_;
     litho::WindowSpec spec_;
+    Timer timer_;
+    EngineResult res_;
+    int points_ = 0;
+    double epe_before_ = 0.0;
+    double pvb_before_ = 0.0;
+    std::optional<litho::WindowMetrics> window_before_;
 };
 
 }  // namespace camo::opc

@@ -3,24 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/timer.hpp"
 #include "opc/objective.hpp"
 
 namespace camo::opc {
-
-bool should_exit_early(double sum_abs_epe, int num_features, int num_points,
-                       const OpcOptions& opt) {
-    if (opt.exit_epe_per_feature > 0.0 && num_features > 0 &&
-        sum_abs_epe / num_features < opt.exit_epe_per_feature) {
-        return true;
-    }
-    if (opt.exit_epe_per_point > 0.0 && num_points > 0 &&
-        sum_abs_epe / num_points < opt.exit_epe_per_point) {
-        return true;
-    }
-    return false;
-}
-
 namespace {
 
 // One damped feedback step: returns the movement (nm) for each segment.
@@ -36,90 +21,51 @@ std::vector<int> feedback_moves(const std::vector<double>& epe_segment, double g
     return moves;
 }
 
-// Applies the moves, clamping each total offset into +/- bound.
-void apply_moves(std::vector<int>& offsets, const std::vector<int>& moves, int bound) {
-    for (std::size_t i = 0; i < offsets.size(); ++i) {
-        offsets[i] = std::clamp(offsets[i] + moves[i], -bound, bound);
-    }
+std::vector<double> corner_epes(const litho::WindowMetrics& wm) {
+    std::vector<double> epes;
+    epes.reserve(wm.corners.size());
+    for (const litho::CornerResult& c : wm.corners) epes.push_back(c.metrics.sum_abs_epe);
+    return epes;
 }
 
 }  // namespace
 
 EngineResult RuleEngine::optimize(const geo::SegmentedLayout& layout, litho::LithoSim& sim,
                                   const OpcOptions& opt) {
-    Timer timer;
-    EngineResult res;
-    const WindowObjective objective(opt, sim.config());
-    std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()),
-                             opt.initial_bias_nm);
-
-    litho::SimMetrics m =
-        objective.evaluate(sim, layout, offsets, litho::Cache::kPrime, &res.final_window);
-    res.epe_history.push_back(m.sum_abs_epe);
-    res.pvb_history.push_back(m.pvband_nm2);
-
-    const int features = static_cast<int>(layout.targets().size());
-    const int points = static_cast<int>(m.epe.size());
-
-    for (int it = 0; it < opt.max_iterations; ++it) {
-        if (opt_.early_exit && should_exit_early(m.sum_abs_epe, features, points, opt)) break;
-        const auto moves = feedback_moves(m.epe_segment, opt_.gain, opt_.max_step_nm);
-        apply_moves(offsets, moves, opt.max_total_offset_nm);
-        m = objective.evaluate(sim, layout, offsets, litho::Cache::kReuse, &res.final_window);
-        res.epe_history.push_back(m.sum_abs_epe);
-        res.pvb_history.push_back(m.pvband_nm2);
-        ++res.iterations;
-    }
-
-    res.final_offsets = std::move(offsets);
-    res.final_metrics = std::move(m);
-    res.runtime_s = timer.seconds();
-    return res;
+    return Rollout(layout, sim, opt)
+        .run(opt.max_iterations, opt_.early_exit, [&](const Rollout& r) {
+            return feedback_moves(r.metrics().epe_segment, opt_.gain, opt_.max_step_nm);
+        });
 }
 
 rl::Trajectory RuleEngine::record_trajectory(const geo::SegmentedLayout& layout,
                                              litho::LithoSim& sim, const OpcOptions& opt,
                                              int steps) const {
     rl::Trajectory traj;
-    const WindowObjective objective(opt, sim.config());
-    std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()),
-                             opt.initial_bias_nm);
-    std::optional<litho::WindowMetrics> window;
-    litho::SimMetrics m = objective.evaluate(sim, layout, offsets, litho::Cache::kPrime, &window);
-
-    const auto corner_epes = [](const litho::WindowMetrics& wm) {
-        std::vector<double> epes;
-        epes.reserve(wm.corners.size());
-        for (const litho::CornerResult& c : wm.corners) epes.push_back(c.metrics.sum_abs_epe);
-        return epes;
-    };
-
-    for (int t = 0; t < steps; ++t) {
+    const EngineResult res = Rollout(layout, sim, opt).run(steps, false, [&](const Rollout& r) {
         // Teacher moves clamped to the learned engines' action space.
-        const auto moves = feedback_moves(m.epe_segment, opt_.gain, 2);
+        std::vector<int> moves = feedback_moves(r.metrics().epe_segment, opt_.gain, 2);
 
         rl::StepRecord rec;
-        rec.offsets_before = offsets;
-        rec.sum_abs_epe_before = m.sum_abs_epe;
-        rec.pvband_before = m.pvband_nm2;
-        if (window) {
-            rec.worst_epe_before = window->worst_epe;
-            rec.pv_band_exact_before = window->pv_band_exact_nm2;
-            rec.corner_epe_before = corner_epes(*window);
+        rec.offsets_before = r.offsets();
+        rec.sum_abs_epe_before = r.metrics().sum_abs_epe;
+        rec.pvband_before = r.metrics().pvband_nm2;
+        if (r.window()) {
+            rec.worst_epe_before = r.window()->worst_epe;
+            rec.pv_band_exact_before = r.window()->pv_band_exact_nm2;
+            rec.corner_epe_before = corner_epes(*r.window());
         }
         rec.actions.reserve(moves.size());
         for (int mv : moves) rec.actions.push_back(rl::move_to_action(mv));
         traj.steps.push_back(std::move(rec));
-
-        apply_moves(offsets, moves, opt.max_total_offset_nm);
-        m = objective.evaluate(sim, layout, offsets, litho::Cache::kReuse, &window);
-    }
-    traj.final_sum_abs_epe = m.sum_abs_epe;
-    traj.final_pvband = m.pvband_nm2;
-    if (window) {
-        traj.final_worst_epe = window->worst_epe;
-        traj.final_pv_band_exact = window->pv_band_exact_nm2;
-        traj.final_corner_epe = corner_epes(*window);
+        return moves;
+    });
+    traj.final_sum_abs_epe = res.final_metrics.sum_abs_epe;
+    traj.final_pvband = res.final_metrics.pvband_nm2;
+    if (res.final_window) {
+        traj.final_worst_epe = res.final_window->worst_epe;
+        traj.final_pv_band_exact = res.final_window->pv_band_exact_nm2;
+        traj.final_corner_epe = corner_epes(*res.final_window);
     }
     return traj;
 }

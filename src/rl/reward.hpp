@@ -35,7 +35,7 @@ double step_reward(double epe_before, double epe_after, double pvb_before, doubl
                    const RewardConfig& cfg = {});
 
 /// Which corner(s) of the process window the reward — and, through
-/// opc::WindowObjective, the OPC engines' feedback — optimizes.
+/// opc::Rollout, the OPC engines' feedback — optimizes.
 enum class RewardMode {
     kNominal,         ///< legacy Eq. (3): nominal corner only (bit-identical)
     kWorstCorner,     ///< |EPE| of the worst corner + exact PV band

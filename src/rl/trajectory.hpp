@@ -2,6 +2,7 @@
 // phase.
 #pragma once
 
+#include <span>
 #include <vector>
 
 namespace camo::rl {
@@ -49,6 +50,13 @@ inline constexpr int kNumActions = 5;
 
 /// Action index -> movement in nm.
 inline int action_to_move(int action) { return action - 2; }
+
+/// Action indices -> movements in nm, one per segment.
+inline std::vector<int> actions_to_moves(std::span<const int> actions) {
+    std::vector<int> moves(actions.begin(), actions.end());
+    for (int& m : moves) m = action_to_move(m);
+    return moves;
+}
 
 /// Movement in nm -> action index (movement must be in [-2, 2]).
 inline int move_to_action(int move) { return move + 2; }

@@ -19,9 +19,11 @@
 // batch seed, its clip index) — per-job seeds come from common/rng.hpp
 // splitmix, never from shared mutable engine state — so per-clip results
 // are bit-identical at any thread count. The per-simulator incremental
-// evaluation cache preserves this: every engine primes it with a full
-// rebuild on its first evaluation of a clip, so whatever a worker's
-// simulator evaluated before cannot leak into the next job's results.
+// evaluation cache preserves this: every segment engine runs a clip through
+// one opc::Rollout (opc/objective.hpp), whose constructor primes the cache
+// with a full rebuild (litho::Cache::kPrime) before any step reuses it, so
+// whatever a worker's simulator evaluated before cannot leak into the next
+// job's results. The pixel-based ILT engine does not use the cache.
 #pragma once
 
 #include <cstdint>

@@ -240,38 +240,27 @@ std::string bounds_json(const CompareResult& result, double rel_slack, double ab
     return out;
 }
 
-PolicyComparer::PolicyComparer(CompareOptions opt) : opt_(std::move(opt)) {}
-PolicyComparer::~PolicyComparer() = default;
-
-core::CamoEngine& PolicyComparer::trained_engine(const std::string& engine, Style style) {
-    const std::string key = engine + "|" + style_name(style);
-    const auto it = trained_.find(key);
-    if (it != trained_.end()) return *it->second;
-
-    // Tiny deterministic training recipe: rule-teacher imitation only
-    // (phase2_episodes = 0), serial trainer so the comparer's results
-    // cannot depend on worker count, no on-disk weight cache — the matrix
-    // must regenerate from seeds alone. The same weights serve every reward
-    // mode; the comparer measures how one policy holds up under each
-    // objective, not reward-specific retraining.
+std::unique_ptr<core::CamoEngine> quick_trained_engine(Style style, bool rlopc,
+                                                       int train_clips, int phase1_epochs,
+                                                       const litho::LithoConfig& litho,
+                                                       const opc::OpcOptions& opt) {
     core::CamoConfig cfg;
-    cfg.name = engine + "-cmp";
+    cfg.name = "camo-quick";
     cfg.seed = 7;
     cfg.teacher_biases = {3, 0};
     cfg.teacher_steps = 3;
-    cfg.phase1_epochs = opt_.phase1_epochs;
+    cfg.phase1_epochs = phase1_epochs;
     cfg.phase2_episodes = 0;
     cfg.train_workers = 1;
-    if (engine == "rlopc") cfg = core::make_rlopc_config(cfg);
-
-    auto eng = std::make_unique<core::CamoEngine>(cfg);
+    if (rlopc) cfg = core::make_rlopc_config(cfg);
+    auto engine = std::make_unique<core::CamoEngine>(cfg);
 
     std::vector<layout::Clip> clips;
-    clips.reserve(static_cast<std::size_t>(std::max(0, opt_.train_clips)));
-    for (int i = 0; i < opt_.train_clips; ++i) {
+    clips.reserve(static_cast<std::size_t>(std::max(0, train_clips)));
+    for (int i = 0; i < train_clips; ++i) {
         Rng rng(derive_seed(0xC0FFEEULL, static_cast<std::uint64_t>(i)));
         layout::Clip clip;
-        clip.name = key + "_train_" + std::to_string(i);
+        clip.name = "quick_train_" + std::to_string(i);
         clip.clip_nm = 1000;
         if (style == Style::kVia) {
             layout::ViaGenOptions vg;
@@ -288,14 +277,27 @@ core::CamoEngine& PolicyComparer::trained_engine(const std::string& engine, Styl
     }
     const std::vector<geo::SegmentedLayout> layouts =
         style == Style::kVia ? core::fragment_via_clips(clips) : core::fragment_metal_clips(clips);
+    litho::LithoSim sim(litho);
+    engine->train(layouts, sim, opt);
+    return engine;
+}
 
-    litho::LithoSim sim(quick_litho());
-    opc::OpcOptions topt;
-    topt.max_iterations = opt_.max_iterations;
-    topt.initial_bias_nm = style == Style::kVia ? 3 : 0;
-    eng->train(layouts, sim, topt);
+PolicyComparer::PolicyComparer(CompareOptions opt) : opt_(std::move(opt)) {}
+PolicyComparer::~PolicyComparer() = default;
 
-    return *trained_.emplace(key, std::move(eng)).first->second;
+core::CamoEngine& PolicyComparer::trained_engine(const std::string& engine, Style style) {
+    // One set of weights serves every reward mode: the comparer measures how
+    // one policy holds up under each objective, not reward-specific
+    // retraining.
+    std::unique_ptr<core::CamoEngine>& slot = trained_[engine + "|" + style_name(style)];
+    if (!slot) {
+        opc::OpcOptions topt;
+        topt.max_iterations = opt_.max_iterations;
+        topt.initial_bias_nm = style == Style::kVia ? 3 : 0;
+        slot = quick_trained_engine(style, engine == "rlopc", opt_.train_clips,
+                                    opt_.phase1_epochs, quick_litho(), topt);
+    }
+    return *slot;
 }
 
 CompareResult PolicyComparer::run(int threads_override) {

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "opc/engine.hpp"
 #include "rl/reward.hpp"
 #include "scenario/scenario.hpp"
 
@@ -128,6 +129,18 @@ std::vector<std::string> check_bounds(const CompareResult& result,
 /// slack — it is an area). Used by `camo_cli compare --write-golden`.
 std::string bounds_json(const CompareResult& result, double rel_slack = 0.25,
                         double abs_slack = 2.0);
+
+/// The tiny deterministic training recipe behind the comparer's learned
+/// columns and the streaming paths' warm policy (`camo_cli shard` / `serve`):
+/// rule-teacher imitation only (seed 7, teacher biases {3, 0}, 3 teacher
+/// steps, no phase 2) on `train_clips` seeded generator clips of `style`,
+/// with a serial trainer so the weights cannot depend on worker count and no
+/// on-disk weight cache — they regenerate from seeds alone. `rlopc` trains
+/// the RL-OPC baseline's policy instead of CAMO's.
+std::unique_ptr<core::CamoEngine> quick_trained_engine(Style style, bool rlopc,
+                                                       int train_clips, int phase1_epochs,
+                                                       const litho::LithoConfig& litho,
+                                                       const opc::OpcOptions& opt);
 
 class PolicyComparer {
   public:

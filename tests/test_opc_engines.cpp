@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "opc/ilt.hpp"
+#include "opc/objective.hpp"
 #include "opc/one_shot.hpp"
 #include "opc/rule_engine.hpp"
 #include "opc/sraf.hpp"
@@ -97,6 +99,42 @@ TEST_F(OpcEngineTest, TrajectoryRecordsActionsInActionSpace) {
     }
     // The teacher must be making progress over its trajectory.
     EXPECT_LT(traj.final_sum_abs_epe, traj.steps.front().sum_abs_epe_before);
+}
+
+// The action frame: replaying every recorded teacher step through a rollout
+// — rl::action_to_move of the recorded actions, applied from that step's
+// recorded offsets — reproduces the whole trajectory bit for bit, under the
+// nominal and the worst-corner objective. The 3 nm bound sits below the
+// 4 nm offset the via's teacher reaches from the 3 nm bias, so the
+// +/- max_total_offset_nm clamp binds; the test checks that it does.
+TEST_F(OpcEngineTest, TeacherActionsReplayThroughRollout) {
+    const RuleEngine teacher({.gain = 0.6, .max_step_nm = 2, .early_exit = false});
+    const geo::SegmentedLayout layout = via_layout();
+    for (const rl::RewardMode mode : {rl::RewardMode::kNominal, rl::RewardMode::kWorstCorner}) {
+        SCOPED_TRACE(rl::reward_mode_name(mode));
+        OpcOptions opt;
+        opt.objective = mode;
+        opt.max_total_offset_nm = 3;
+        litho::LithoSim sim(*sim_);
+        const rl::Trajectory traj = teacher.record_trajectory(layout, sim, opt, 5);
+        ASSERT_EQ(traj.steps.size(), 5U);
+
+        Rollout rollout(layout, sim, opt);
+        bool clamped = false;
+        for (const rl::StepRecord& s : traj.steps) {
+            ASSERT_EQ(rollout.offsets(), s.offsets_before);
+            EXPECT_EQ(rollout.metrics().sum_abs_epe, s.sum_abs_epe_before);
+            std::vector<int> moves(s.actions.size());
+            std::transform(s.actions.begin(), s.actions.end(), moves.begin(), rl::action_to_move);
+            for (std::size_t i = 0; i < moves.size(); ++i) {
+                clamped |= std::abs(s.offsets_before[i] + moves[i]) > opt.max_total_offset_nm;
+            }
+            rollout.step(moves);
+            for (int o : rollout.offsets()) EXPECT_LE(std::abs(o), opt.max_total_offset_nm);
+        }
+        EXPECT_TRUE(clamped) << "the offset clamp never bound";
+        EXPECT_EQ(rollout.metrics().sum_abs_epe, traj.final_sum_abs_epe);
+    }
 }
 
 TEST_F(OpcEngineTest, IltReducesContourLoss) {

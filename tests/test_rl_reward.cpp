@@ -365,7 +365,7 @@ TEST_F(WindowRewardSimTest, WorstCornerModeBeatsNominalAtEqualBudget) {
 }
 
 TEST_F(WindowRewardSimTest, NominalObjectiveIsBitIdenticalToLegacyLoop) {
-    // The WindowObjective pass-through: a nominal-mode run must reproduce
+    // opc::Rollout's nominal pass-through: a nominal-mode run must reproduce
     // the pre-window engine loop exactly (same evaluate_incremental calls,
     // same metrics), so downstream nominal results cannot drift.
     const geo::SegmentedLayout layout = via3_layout();

@@ -462,49 +462,6 @@ opc::OpcOptions scenario_opc(scenario::Style style, int iterations) {
     return opt;
 }
 
-/// Tiny deterministic in-memory CAMO policy for serve/shard: the comparer's
-/// imitation-only recipe, trained once up front and shared read-only across
-/// every tile and request of the run — the warm policy cache of the service.
-std::shared_ptr<core::CamoEngine> warm_camo_engine(scenario::Style style,
-                                                   const litho::LithoConfig& litho,
-                                                   const opc::OpcOptions& opt) {
-    core::CamoConfig cfg;
-    cfg.name = "stream";
-    cfg.seed = 7;
-    cfg.teacher_biases = {3, 0};
-    cfg.teacher_steps = 3;
-    cfg.phase1_epochs = 4;
-    cfg.phase2_episodes = 0;
-    cfg.train_workers = 1;
-    auto engine = std::make_shared<core::CamoEngine>(cfg);
-
-    std::vector<layout::Clip> clips;
-    for (int i = 0; i < 2; ++i) {
-        Rng rng(derive_seed(0xC0FFEEULL, static_cast<std::uint64_t>(i)));
-        layout::Clip clip;
-        clip.name = "stream_train_" + std::to_string(i);
-        clip.clip_nm = 1000;
-        if (style == scenario::Style::kVia) {
-            layout::ViaGenOptions vg;
-            vg.clip_nm = 1000;
-            vg.margin_nm = 200;
-            vg.min_spacing_nm = 120;
-            clip.targets = layout::generate_via_clip(2 + i % 3, rng, vg);
-        } else {
-            layout::MetalGenOptions mg;
-            mg.clip_nm = 1000;
-            clip.targets = layout::generate_metal_clip(24, rng, mg);
-        }
-        clips.push_back(std::move(clip));
-    }
-    const std::vector<geo::SegmentedLayout> layouts =
-        style == scenario::Style::kVia ? core::fragment_via_clips(clips)
-                                       : core::fragment_metal_clips(clips);
-    litho::LithoSim sim(litho);
-    engine->train(layouts, sim, opt);
-    return engine;
-}
-
 /// Per-clip optimizer for the streaming paths: a fresh RuleEngine per job,
 /// or one warm CamoEngine snapshot inferred concurrently.
 runtime::ClipOptimizer make_optimizer(const std::string& engine, scenario::Style style,
@@ -517,7 +474,11 @@ runtime::ClipOptimizer make_optimizer(const std::string& engine, scenario::Style
             return eng.optimize(layout, sim, o);
         };
     }
-    const std::shared_ptr<core::CamoEngine> eng = warm_camo_engine(style, litho, opt);
+    // The comparer's quick imitation-only recipe, trained once up front and
+    // shared read-only across every tile and request of the run — the warm
+    // policy cache of the service.
+    const std::shared_ptr<core::CamoEngine> eng =
+        scenario::quick_trained_engine(style, false, 2, 4, litho, opt);
     return [eng](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
                  const opc::OpcOptions& o,
                  std::uint64_t /*job_seed*/) { return eng->infer(layout, sim, o); };
@@ -1123,12 +1084,11 @@ int main(int argc, char** argv) {
 
     // Fragment.
     const bool via_style = cli.style == "via";
-    std::vector<geo::Polygon> srafs;
-    if (via_style) srafs = opc::insert_srafs(targets);
-    geo::SegmentedLayout layout(
-        targets,
-        {via_style ? geo::FragmentStyle::kVia : geo::FragmentStyle::kMetal, 60}, srafs,
-        cli.clip_nm);
+    const std::vector<layout::Clip> clip = {
+        {.name = cli.in, .targets = targets, .clip_nm = cli.clip_nm}};
+    const std::vector<geo::SegmentedLayout> fragmented =
+        via_style ? core::fragment_via_clips(clip) : core::fragment_metal_clips(clip);
+    const geo::SegmentedLayout& layout = fragmented.front();
 
     litho::LithoSim sim(core::Experiment::litho_config());
     opc::OpcOptions opt =
