@@ -346,10 +346,9 @@ BENCHMARK(BM_Phase1Epoch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime()
 
 // ---- Packed trajectory store ------------------------------------------------
 // Append+flush of a freshly collected teacher dataset into the packed store,
-// and one phase-1 epoch replayed from the memory mapping. The replay row is
-// directly comparable to BM_Phase1Epoch/1: the delta is the pure cost of
-// streaming minibatches from disk instead of RAM (feature materialization
-// from the f32 heap) — training math is byte-identical.
+// and one phase-1 epoch trained from the store: load into a Phase1Dataset,
+// then the same epoch as BM_Phase1Epoch/1. The delta between the two rows is
+// the cost of decoding the store — training math is byte-identical.
 
 void BM_TrajAppend(benchmark::State& state) {
     litho::LithoSim sim(shared_sim());
@@ -362,15 +361,7 @@ void BM_TrajAppend(benchmark::State& state) {
     std::uint64_t bytes = 0;
     for (auto _ : state) {
         rl::TrajStoreWriter writer(path);
-        std::size_t k = 0;  // samples are flattened in trajectory-step order
-        for (std::size_t j = 0; j < data.trajectories.size(); ++j) {
-            std::vector<std::span<const nn::Tensor>> feats;
-            for (std::size_t t = 0; t < data.trajectories[j].steps.size(); ++t, ++k) {
-                feats.emplace_back(data.samples[k].features);
-            }
-            writer.append(data.trajectories[j], feats);
-        }
-        writer.flush();
+        core::write_teacher_data(data, writer);
         bytes = writer.byte_size();
         benchmark::DoNotOptimize(bytes);
     }
@@ -385,12 +376,13 @@ void BM_TrajReplayEpoch(benchmark::State& state) {
     litho::LithoSim sim(shared_sim());
     const std::string path = "/tmp/camo_bench_traj_replay.ctrj";
     rl::TrajStoreWriter writer(path);
-    engine.collect_teacher_data(train_bench_clips(), sim, core::Experiment::via_options(),
-                                &writer);
+    core::write_teacher_data(
+        engine.collect_teacher_data(train_bench_clips(), sim, core::Experiment::via_options()),
+        writer);
     const rl::TrajStoreReader reader(path);
-    const core::Phase1Replay replay = engine.make_phase1_replay(reader, train_bench_clips());
     for (auto _ : state) {
-        const double nll = engine.run_phase1_epoch(replay);
+        const core::Phase1Dataset data = engine.load_teacher_data(reader, train_bench_clips());
+        const double nll = engine.run_phase1_epoch(data);
         benchmark::DoNotOptimize(nll);
     }
     state.counters["steps"] = static_cast<double>(reader.step_count());

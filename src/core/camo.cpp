@@ -43,29 +43,34 @@ obs::MetricId reduction_counter() {
     return id;
 }
 
-std::array<double, rl::kNumActions> node_probs(const nn::Tensor& logits, int node) {
+std::array<float, rl::kNumActions> logit_row(const nn::Tensor& logits, int node) {
     std::array<float, rl::kNumActions> row{};
     for (int a = 0; a < rl::kNumActions; ++a) row[static_cast<std::size_t>(a)] = logits.at(node, a);
+    return row;
+}
+
+std::array<double, rl::kNumActions> node_probs(const nn::Tensor& logits, int node) {
+    const auto row = logit_row(logits, node);
     const auto p = nn::softmax(std::span<const float>(row.data(), row.size()));
     std::array<double, rl::kNumActions> out{};
     for (int a = 0; a < rl::kNumActions; ++a) out[static_cast<std::size_t>(a)] = p[static_cast<std::size_t>(a)];
     return out;
 }
 
-// Inverse-frequency class weights from raw action counts (teacher data is
-// heavily skewed toward the no-move action once its trajectory converges).
-// Shared by in-memory collection and store replay so both derive identical
-// weights from identical counts.
-std::array<float, rl::kNumActions> action_weights_from_counts(
-    const std::array<long long, rl::kNumActions>& action_count, long long action_total) {
-    std::array<float, rl::kNumActions> out{};
-    for (int a = 0; a < rl::kNumActions; ++a) {
-        const long long cnt = std::max(1LL, action_count[static_cast<std::size_t>(a)]);
-        const double w = static_cast<double>(action_total) /
-                         (static_cast<double>(rl::kNumActions) * static_cast<double>(cnt));
-        out[static_cast<std::size_t>(a)] = static_cast<float>(std::min(w, 20.0));
+// Logit gradient of a per-node policy-gradient objective: row i is
+// nn::policy_logit_grad of node i's logits at actions[i] with coefficient
+// coef(i). Phase 1 and phase 2 differ only in the coefficient.
+template <typename Coef>
+nn::Tensor logit_grad(const nn::Tensor& logits, std::span<const int> actions, const Coef& coef) {
+    const int n = logits.dim(0);
+    nn::Tensor dlogits({n, rl::kNumActions});
+    for (int i = 0; i < n; ++i) {
+        const auto row = logit_row(logits, i);
+        const auto g = nn::policy_logit_grad(std::span<const float>(row.data(), row.size()),
+                                             actions[static_cast<std::size_t>(i)], coef(i));
+        for (int a = 0; a < rl::kNumActions; ++a) dlogits.at(i, a) = g[static_cast<std::size_t>(a)];
     }
-    return out;
+    return dlogits;
 }
 
 std::vector<int> pick_actions(const nn::Tensor& logits, const std::vector<double>& epe_segment,
@@ -157,6 +162,55 @@ void CamoEngine::optimizer_step() {
     policy_.invalidate_plan();
 }
 
+template <typename SampleGrad>
+void CamoEngine::gradient_step(std::size_t count, const SampleGrad& sample_grad) {
+    TrainRuntime& rt = train_runtime();
+    std::vector<nn::GradBuffer> buffers(count);
+    const auto run_sample = [&](PolicyNetwork& net, std::size_t k) {
+        net.backward(sample_grad(net, k));
+        buffers[k].capture(net.params());
+    };
+    if (rt.pool && count > 1) {
+        rt.sync_replicas(policy_);
+        rt.pool->for_each_index(static_cast<int>(count), [&](int k) {
+            run_sample(rt.worker_replica(), static_cast<std::size_t>(k));
+        });
+    } else {
+        for (std::size_t k = 0; k < count; ++k) run_sample(policy_, k);
+    }
+    {
+        const obs::Span reduce_span("train.reduce", reduce_hist());
+        obs::counter_add(reduction_counter());
+        nn::reduce_in_order(buffers, policy_.params());
+    }
+    optimizer_step();
+}
+
+void CamoEngine::index_dataset(Phase1Dataset& data,
+                               const std::vector<geo::SegmentedLayout>& clips) const {
+    data.graphs.reserve(clips.size());
+    for (const geo::SegmentedLayout& c : clips) {
+        data.graphs.push_back(build_segment_graph(c, cfg_.graph_threshold_nm));
+    }
+
+    // Inverse-frequency class weights (teacher data is heavily skewed toward
+    // the no-move action once its trajectory converges).
+    std::array<long long, rl::kNumActions> action_count{};
+    long long action_total = 0;
+    for (const TeacherSample& s : data.samples) {
+        for (int a : s.actions) {
+            ++action_count[static_cast<std::size_t>(a)];
+            ++action_total;
+        }
+    }
+    for (int a = 0; a < rl::kNumActions; ++a) {
+        const long long cnt = std::max(1LL, action_count[static_cast<std::size_t>(a)]);
+        const double w = static_cast<double>(action_total) /
+                         (static_cast<double>(rl::kNumActions) * static_cast<double>(cnt));
+        data.action_weight[static_cast<std::size_t>(a)] = static_cast<float>(std::min(w, 20.0));
+    }
+}
+
 std::vector<nn::Tensor> CamoEngine::encode_state(const geo::SegmentedLayout& layout,
                                                  std::span<const int> offsets) const {
     const auto mask_polys = layout.reconstruct_mask(offsets);
@@ -191,14 +245,9 @@ opc::EngineResult CamoEngine::infer(const geo::SegmentedLayout& layout, litho::L
 }
 
 Phase1Dataset CamoEngine::collect_teacher_data(const std::vector<geo::SegmentedLayout>& clips,
-                                               litho::LithoSim& sim, const opc::OpcOptions& opt,
-                                               rl::TrajStoreWriter* store) {
+                                               litho::LithoSim& sim, const opc::OpcOptions& opt) {
     const obs::Span span("train.collect", collect_hist());
     Phase1Dataset data;
-    data.graphs.reserve(clips.size());
-    for (const geo::SegmentedLayout& c : clips) {
-        data.graphs.push_back(build_segment_graph(c, cfg_.graph_threshold_nm));
-    }
 
     std::vector<int> biases = cfg_.teacher_biases;
     if (biases.empty()) biases.push_back(opt.initial_bias_nm);
@@ -258,185 +307,37 @@ Phase1Dataset CamoEngine::collect_teacher_data(const std::vector<geo::SegmentedL
         for (std::size_t j = 0; j < jobs.size(); ++j) run_job(sim, static_cast<int>(j));
     }
 
-    // Store-sink mode: append the gathered trajectories (with their per-step
-    // squish features) in job order — per-worker results were already merged
-    // into canonical clip-major / bias-minor order above, so the published
-    // file bytes never depend on cfg_.train_workers. One flush publishes the
-    // whole collection atomically.
-    if (store != nullptr) {
-        for (std::size_t j = 0; j < jobs.size(); ++j) {
-            std::vector<std::span<const nn::Tensor>> step_feats;
-            step_feats.reserve(per_job[j].size());
-            for (const TeacherSample& s : per_job[j]) step_feats.push_back(s.features);
-            store->append(data.trajectories[j], step_feats);
-        }
-        store->flush();
-    }
-
     for (std::vector<TeacherSample>& job_samples : per_job) {
         for (TeacherSample& s : job_samples) data.samples.push_back(std::move(s));
     }
 
-    std::array<long long, rl::kNumActions> action_count{};
-    long long action_total = 0;
-    for (const TeacherSample& s : data.samples) {
-        for (int a : s.actions) {
-            ++action_count[static_cast<std::size_t>(a)];
-            ++action_total;
-        }
-    }
-    data.action_weight = action_weights_from_counts(action_count, action_total);
+    index_dataset(data, clips);
     obs::counter_add(teacher_samples_counter(), static_cast<long long>(data.samples.size()));
     return data;
 }
 
-// Shared phase-1 minibatch loop. `load(idx, out)` fills one sample in place
-// (fill-in-place so a replay loader can reuse the scratch slot's owned
-// buffers); everything downstream — batch schedule, per-sample gradients,
-// fixed-order reduction, optimizer steps — is identical for the in-memory
-// and store-replay paths, which is what makes replay training bitwise
-// reproducible against collect-and-train.
-template <typename LoadSample>
-double CamoEngine::phase1_epoch_over(std::size_t sample_count, const std::vector<Graph>& graphs,
-                                     const std::array<float, rl::kNumActions>& action_weight,
-                                     const LoadSample& load) {
-    const obs::Span span("train.phase1.epoch", phase1_epoch_hist());
-    if (sample_count == 0) return 0.0;  // degenerate dataset: no optimizer step
-    const std::size_t batch = cfg_.phase1_batch <= 0 ? sample_count
-                                                     : static_cast<std::size_t>(cfg_.phase1_batch);
-
-    TrainRuntime& rt = train_runtime();
-    double total_nll = 0.0;
-    long long total_nodes = 0;
-    std::vector<nn::GradBuffer> buffers;
-    std::vector<double> sample_nll(batch, 0.0);
-    std::vector<long long> sample_nodes(batch, 0);
-    std::vector<Phase1Sample> scratch(batch);  ///< one slot per batch lane
-
-    for (std::size_t start = 0; start < sample_count; start += batch) {
-        const std::size_t count = std::min(batch, sample_count - start);
-        buffers.assign(count, nn::GradBuffer{});
-
-        // Per-sample gradient of the class-weighted mean NLL, computed with
-        // `net`'s (master-synced) weights and captured into the sample's own
-        // buffer — the unit the fixed-order reduction folds back in.
-        const auto run_sample = [&](PolicyNetwork& net, std::size_t k) {
-            Phase1Sample& s = scratch[k];
-            load(start + k, s);
-            const nn::Tensor logits =
-                net.forward(*s.features, graphs[static_cast<std::size_t>(s.clip)]);
-            const int n = logits.dim(0);
-            nn::Tensor dlogits({n, rl::kNumActions});
-            double nll = 0.0;
-            for (int i = 0; i < n; ++i) {
-                std::array<float, rl::kNumActions> row{};
-                for (int a = 0; a < rl::kNumActions; ++a) {
-                    row[static_cast<std::size_t>(a)] = logits.at(i, a);
-                }
-                const std::span<const float> row_span(row.data(), row.size());
-                const int act = s.actions[static_cast<std::size_t>(i)];
-                nll -= nn::log_prob(row_span, act);
-                // coef = -w/n: gradient DEscent on class-weighted mean NLL.
-                const float coef =
-                    -action_weight[static_cast<std::size_t>(act)] / static_cast<float>(n);
-                const auto g = nn::policy_logit_grad(row_span, act, coef);
-                for (int a = 0; a < rl::kNumActions; ++a) {
-                    dlogits.at(i, a) = g[static_cast<std::size_t>(a)];
-                }
-            }
-            net.backward(dlogits);
-            buffers[k].capture(net.params());
-            sample_nll[k] = nll;
-            sample_nodes[k] = n;
-        };
-
-        if (rt.pool && count > 1) {
-            rt.sync_replicas(policy_);
-            rt.pool->for_each_index(static_cast<int>(count), [&](int k) {
-                run_sample(rt.worker_replica(), static_cast<std::size_t>(k));
-            });
-        } else {
-            for (std::size_t k = 0; k < count; ++k) run_sample(policy_, k);
-        }
-
-        {
-            const obs::Span reduce_span("train.reduce", reduce_hist());
-            obs::counter_add(reduction_counter());
-            nn::reduce_in_order(buffers, policy_.params());
-        }
-        for (std::size_t k = 0; k < count; ++k) {
-            total_nll += sample_nll[k];
-            total_nodes += sample_nodes[k];
-        }
-        optimizer_step();
-    }
-    return total_nll / static_cast<double>(std::max(1LL, total_nodes));
-}
-
-double CamoEngine::run_phase1_epoch(const Phase1Dataset& data) {
-    const std::vector<TeacherSample>& samples = data.samples;
-    return phase1_epoch_over(samples.size(), data.graphs, data.action_weight,
-                             [&](std::size_t idx, Phase1Sample& out) {
-                                 const TeacherSample& s = samples[idx];
-                                 out.clip = s.clip;
-                                 out.features = &s.features;
-                                 out.actions = std::span<const int>(s.actions);
-                             });
-}
-
-double CamoEngine::run_phase1_epoch(const Phase1Replay& data) {
-    if (data.store == nullptr) return 0.0;
-    const rl::TrajStoreReader& store = *data.store;
-    const auto dims = store.feature_dims();
-    const std::size_t numel = store.feature_numel();
-    // Sample index == store step index: trajectory step ranges tile the step
-    // table contiguously in append order (validated on open), and append
-    // order is the canonical job order — so replay visits samples in exactly
-    // the sequence collect_teacher_data gathered them.
-    return phase1_epoch_over(
-        store.step_count(), data.graphs, data.action_weight,
-        [&](std::size_t idx, Phase1Sample& out) {
-            const rl::TrajStoreReader::StepView sv = store.step(idx);
-            const rl::TrajStoreReader::StateView st = store.state(sv.state_id);
-            out.clip = st.clip_index;
-            const std::size_t n = st.offsets.size();
-            out.owned_features.resize(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                nn::Tensor& t = out.owned_features[i];
-                if (t.numel() != numel) {
-                    t = nn::Tensor({static_cast<int>(dims[0]), static_cast<int>(dims[1]),
-                                    static_cast<int>(dims[2])});
-                }
-                std::copy_n(st.features.data() + i * numel, numel, t.data().data());
-            }
-            out.features = &out.owned_features;
-            out.owned_actions.assign(sv.actions.begin(), sv.actions.end());
-            out.actions = std::span<const int>(out.owned_actions);
-        });
-}
-
-Phase1Replay CamoEngine::make_phase1_replay(const rl::TrajStoreReader& store,
+Phase1Dataset CamoEngine::load_teacher_data(const rl::TrajStoreReader& store,
                                             const std::vector<geo::SegmentedLayout>& clips) const {
     if (store.feature_numel() == 0) {
         throw std::invalid_argument(
-            "make_phase1_replay: store has no squish features (featureless collection) — "
-            "phase-1 replay needs per-step state encodings");
+            "load_teacher_data: store has no squish features (featureless collection) — "
+            "phase-1 training needs per-step state encodings");
     }
     const auto dims = store.feature_dims();
     const auto want = static_cast<std::uint32_t>(cfg_.squish.size);
     if (dims[1] != want || dims[2] != want) {
-        throw std::invalid_argument("make_phase1_replay: store feature shape " +
+        throw std::invalid_argument("load_teacher_data: store feature shape " +
                                     std::to_string(dims[1]) + "x" + std::to_string(dims[2]) +
                                     " does not match configured squish size " +
                                     std::to_string(cfg_.squish.size));
     }
     // Every stored state must land on a clip we were handed, with a matching
-    // segment count — catches a store replayed against the wrong clip set
+    // segment count — catches a store loaded against the wrong clip set
     // even when the caller forgot to check dataset_tag.
     for (std::uint64_t id = 0; id < store.state_count(); ++id) {
         const rl::TrajStoreReader::StateView st = store.state(id);
         if (st.clip_index < 0 || static_cast<std::size_t>(st.clip_index) >= clips.size()) {
-            throw std::invalid_argument("make_phase1_replay: state " + std::to_string(id) +
+            throw std::invalid_argument("load_teacher_data: state " + std::to_string(id) +
                                         " references clip " + std::to_string(st.clip_index) +
                                         " but only " + std::to_string(clips.size()) +
                                         " clips were provided");
@@ -445,28 +346,96 @@ Phase1Replay CamoEngine::make_phase1_replay(const rl::TrajStoreReader& store,
             clips[static_cast<std::size_t>(st.clip_index)].num_segments());
         if (st.offsets.size() != segs) {
             throw std::invalid_argument(
-                "make_phase1_replay: state " + std::to_string(id) + " has " +
+                "load_teacher_data: state " + std::to_string(id) + " has " +
                 std::to_string(st.offsets.size()) + " segments but clip " +
                 std::to_string(st.clip_index) + " has " + std::to_string(segs));
         }
     }
 
-    Phase1Replay replay;
-    replay.store = &store;
-    replay.graphs.reserve(clips.size());
-    for (const geo::SegmentedLayout& c : clips) {
-        replay.graphs.push_back(build_segment_graph(c, cfg_.graph_threshold_nm));
+    Phase1Dataset data;
+    data.trajectories.reserve(store.traj_count());
+    for (std::uint64_t i = 0; i < store.traj_count(); ++i) {
+        data.trajectories.push_back(store.decode(i));
     }
-    std::array<long long, rl::kNumActions> action_count{};
-    long long action_total = 0;
-    for (std::uint64_t i = 0; i < store.step_count(); ++i) {
-        for (std::uint8_t a : store.step(i).actions) {
-            ++action_count[a];
-            ++action_total;
+    // Sample index == store step index: trajectory step ranges tile the step
+    // table contiguously in append order (validated on open), and append
+    // order is the canonical job order collect_teacher_data gathered.
+    const std::vector<int> shape = {static_cast<int>(dims[0]), static_cast<int>(dims[1]),
+                                    static_cast<int>(dims[2])};
+    const std::size_t numel = store.feature_numel();
+    data.samples.reserve(store.step_count());
+    for (std::uint64_t idx = 0; idx < store.step_count(); ++idx) {
+        const rl::TrajStoreReader::StepView sv = store.step(idx);
+        const rl::TrajStoreReader::StateView st = store.state(sv.state_id);
+        TeacherSample s;
+        s.clip = st.clip_index;
+        s.features.reserve(st.offsets.size());
+        for (std::size_t i = 0; i < st.offsets.size(); ++i) {
+            nn::Tensor t(shape);
+            std::copy_n(st.features.data() + i * numel, numel, t.data().data());
+            s.features.push_back(std::move(t));
+        }
+        s.actions.assign(sv.actions.begin(), sv.actions.end());
+        data.samples.push_back(std::move(s));
+    }
+    index_dataset(data, clips);
+    return data;
+}
+
+void write_teacher_data(const Phase1Dataset& data, rl::TrajStoreWriter& store) {
+    // Samples are flattened in trajectory-step order.
+    std::size_t k = 0;
+    std::vector<std::span<const nn::Tensor>> step_feats;
+    for (const rl::Trajectory& traj : data.trajectories) {
+        if (data.samples.size() - k < traj.steps.size()) {
+            throw std::invalid_argument("write_teacher_data: fewer samples than trajectory steps");
+        }
+        step_feats.clear();
+        for (std::size_t t = 0; t < traj.steps.size(); ++t, ++k) {
+            step_feats.emplace_back(data.samples[k].features);
+        }
+        store.append(traj, step_feats);
+    }
+    store.flush();
+}
+
+double CamoEngine::run_phase1_epoch(const Phase1Dataset& data) {
+    const obs::Span span("train.phase1.epoch", phase1_epoch_hist());
+    const std::size_t sample_count = data.samples.size();
+    if (sample_count == 0) return 0.0;  // degenerate dataset: no optimizer step
+    const std::size_t batch = cfg_.phase1_batch <= 0 ? sample_count
+                                                     : static_cast<std::size_t>(cfg_.phase1_batch);
+
+    double total_nll = 0.0;
+    long long total_nodes = 0;
+    std::vector<double> sample_nll(batch, 0.0);
+    for (std::size_t start = 0; start < sample_count; start += batch) {
+        const std::size_t count = std::min(batch, sample_count - start);
+        // Per-sample gradient of the class-weighted mean NLL.
+        gradient_step(count, [&](PolicyNetwork& net, std::size_t k) {
+            const TeacherSample& s = data.samples[start + k];
+            const nn::Tensor logits =
+                net.forward(s.features, data.graphs[static_cast<std::size_t>(s.clip)]);
+            const int n = logits.dim(0);
+            double nll = 0.0;
+            for (int i = 0; i < n; ++i) {
+                const auto row = logit_row(logits, i);
+                nll -= nn::log_prob(std::span<const float>(row.data(), row.size()),
+                                    s.actions[static_cast<std::size_t>(i)]);
+            }
+            sample_nll[k] = nll;
+            // coef = -w/n: gradient DEscent on class-weighted mean NLL.
+            return logit_grad(logits, s.actions, [&](int i) {
+                const int act = s.actions[static_cast<std::size_t>(i)];
+                return -data.action_weight[static_cast<std::size_t>(act)] / static_cast<float>(n);
+            });
+        });
+        for (std::size_t k = 0; k < count; ++k) {
+            total_nll += sample_nll[k];
+            total_nodes += static_cast<long long>(data.samples[start + k].actions.size());
         }
     }
-    replay.action_weight = action_weights_from_counts(action_count, action_total);
-    return replay;
+    return total_nll / static_cast<double>(std::max(1LL, total_nodes));
 }
 
 double CamoEngine::run_phase2_episode(const std::vector<geo::SegmentedLayout>& clips,
@@ -505,11 +474,9 @@ double CamoEngine::run_phase2_episode(const std::vector<geo::SegmentedLayout>& c
     }
     std::vector<double> rewards(clips.size(), 0.0);
 
-    TrainRuntime& rt = train_runtime();
     double reward_sum = 0.0;
     int reward_count = 0;
     std::vector<int> wave;
-    std::vector<nn::GradBuffer> buffers;
 
     for (int t = 0; t < opt.max_iterations; ++t) {
         const obs::Span wave_span("train.phase2.wave", phase2_wave_hist());
@@ -518,9 +485,8 @@ double CamoEngine::run_phase2_episode(const std::vector<geo::SegmentedLayout>& c
             if (rollouts[c] && !rollouts[c]->should_exit()) wave.push_back(static_cast<int>(c));
         }
         if (wave.empty()) break;
-        buffers.assign(wave.size(), nn::GradBuffer{});
 
-        const auto run_clip = [&](PolicyNetwork& net, std::size_t k) {
+        gradient_step(wave.size(), [&](PolicyNetwork& net, std::size_t k) {
             const std::size_t c = static_cast<std::size_t>(wave[k]);
             opc::Rollout& rollout = *rollouts[c];
 
@@ -534,44 +500,14 @@ double CamoEngine::run_phase2_episode(const std::vector<geo::SegmentedLayout>& c
 
             // Eq. (7): gradient ascent on r * log pi(a|s), computed on the
             // unmodulated policy output.
-            const int n = logits.dim(0);
-            nn::Tensor dlogits({n, rl::kNumActions});
-            for (int i = 0; i < n; ++i) {
-                std::array<float, rl::kNumActions> row{};
-                for (int a = 0; a < rl::kNumActions; ++a) {
-                    row[static_cast<std::size_t>(a)] = logits.at(i, a);
-                }
-                const auto g = nn::policy_logit_grad(
-                    std::span<const float>(row.data(), row.size()),
-                    actions[static_cast<std::size_t>(i)],
-                    cfg_.phase2_lr_scale * static_cast<float>(-r) / static_cast<float>(n));
-                for (int a = 0; a < rl::kNumActions; ++a) {
-                    dlogits.at(i, a) = g[static_cast<std::size_t>(a)];
-                }
-            }
-            net.backward(dlogits);
-            buffers[k].capture(net.params());
-        };
-
-        if (rt.pool && wave.size() > 1) {
-            rt.sync_replicas(policy_);
-            rt.pool->for_each_index(static_cast<int>(wave.size()), [&](int k) {
-                run_clip(rt.worker_replica(), static_cast<std::size_t>(k));
-            });
-        } else {
-            for (std::size_t k = 0; k < wave.size(); ++k) run_clip(policy_, k);
-        }
-
-        {
-            const obs::Span reduce_span("train.reduce", reduce_hist());
-            obs::counter_add(reduction_counter());
-            nn::reduce_in_order(buffers, policy_.params());
-        }
+            const float coef = cfg_.phase2_lr_scale * static_cast<float>(-r) /
+                               static_cast<float>(logits.dim(0));
+            return logit_grad(logits, actions, [&](int) { return coef; });
+        });
         for (int c : wave) {
             reward_sum += rewards[static_cast<std::size_t>(c)];
             ++reward_count;
         }
-        optimizer_step();
     }
     return reward_sum / std::max(1, reward_count);
 }

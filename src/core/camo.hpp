@@ -117,17 +117,11 @@ struct Phase1Dataset {
     std::vector<rl::Trajectory> trajectories;
 };
 
-/// The phase-1 replay source: an open packed trajectory store plus the
-/// per-clip graphs and action weights rebuilt from it. Built by
-/// CamoEngine::make_phase1_replay; run_phase1_epoch then streams minibatch
-/// samples straight from the store's memory mapping (one step record =
-/// one sample, in stored — i.e. canonical collection — order), producing
-/// weights byte-identical to in-memory training on the same clips.
-struct Phase1Replay {
-    const rl::TrajStoreReader* store = nullptr;
-    std::vector<Graph> graphs;  ///< indexed by clip
-    std::array<float, rl::kNumActions> action_weight{};
-};
+/// Appends every trajectory of `data` (with its steps' squish features) to
+/// `store` in the dataset's job order, then flushes once. The dataset order
+/// is canonical, so the published bytes never depend on the worker count
+/// that collected it; CamoEngine::load_teacher_data reads them back.
+void write_teacher_data(const Phase1Dataset& data, rl::TrajStoreWriter& store);
 
 class CamoEngine : public opc::Engine {
 public:
@@ -169,41 +163,28 @@ public:
     /// cache with a full rebuild, so results never depend on scheduling);
     /// the gathered dataset is bit-identical at any cfg.train_workers.
     /// Clips without segments contribute no jobs.
-    ///
-    /// Store-sink mode: when `store` is non-null, every gathered trajectory
-    /// (with its per-step squish features) is appended to the trajectory
-    /// store in the same canonical clip-major / bias-minor order and the
-    /// store is flushed once — per-worker results are merged before any
-    /// byte is written, so the file bytes are identical at any
-    /// cfg.train_workers.
     Phase1Dataset collect_teacher_data(const std::vector<geo::SegmentedLayout>& clips,
-                                       litho::LithoSim& sim, const opc::OpcOptions& opt,
-                                       rl::TrajStoreWriter* store = nullptr);
+                                       litho::LithoSim& sim, const opc::OpcOptions& opt);
+
+    /// The inverse of write_teacher_data: decodes every store step once into
+    /// a sample, in store step (= canonical collection) order, fills
+    /// `trajectories` through TrajStoreReader::decode, and builds graphs and
+    /// action weights exactly as collect_teacher_data does — so the loaded
+    /// dataset equals the collected one field for field, and training on it
+    /// yields byte-identical weights. Cross-checks the store against `clips`
+    /// (feature tensors present and shaped for this engine's squish config,
+    /// clip indices in range, per-clip segment counts equal) and throws
+    /// std::invalid_argument on any mismatch — a store is never silently
+    /// trained against the wrong clip set.
+    [[nodiscard]] Phase1Dataset load_teacher_data(
+        const rl::TrajStoreReader& store,
+        const std::vector<geo::SegmentedLayout>& clips) const;
 
     /// One phase-1 imitation epoch over the dataset (class-weighted NLL,
     /// minibatched per cfg.phase1_batch, per-sample gradients reduced in
     /// fixed order). Returns the epoch's mean NLL per node — finite (0.0)
     /// and step-free when the dataset is empty.
     double run_phase1_epoch(const Phase1Dataset& data);
-
-    /// Replay source over a packed trajectory store: rebuilds the per-clip
-    /// segment graphs and the inverse-frequency action weights from the
-    /// store, and cross-checks the store against `clips` (clip indices in
-    /// range, per-clip segment counts equal, feature tensors present and
-    /// shaped for this engine's squish config). Throws std::invalid_argument
-    /// on any mismatch — a store is never silently replayed against the
-    /// wrong clip set.
-    [[nodiscard]] Phase1Replay make_phase1_replay(
-        const rl::TrajStoreReader& store,
-        const std::vector<geo::SegmentedLayout>& clips) const;
-
-    /// The replay twin of run_phase1_epoch(Phase1Dataset): one imitation
-    /// epoch whose minibatch samples are decoded on demand from the store's
-    /// memory mapping (zero-copy feature spans, per-sample tensor
-    /// materialization on the worker thread). Identical update schedule and
-    /// reduction order, so the loss trace and the trained weights are
-    /// byte-identical to in-memory training on the same data.
-    double run_phase1_epoch(const Phase1Replay& data);
 
     /// Toggle the modulator (paper Section 4.4 / Figure 5 ablation).
     void set_modulator_enabled(bool enabled) { cfg_.modulator.enabled = enabled; }
@@ -233,27 +214,19 @@ private:
 
     void optimizer_step();
 
-    /// One phase-1 sample as the epoch core consumes it. The in-memory path
-    /// points straight into the Phase1Dataset; the replay path decodes into
-    /// the owned_* storage (per worker-thread call, so streaming is
-    /// scheduling-free).
-    struct Phase1Sample {
-        int clip = 0;
-        std::vector<nn::Tensor> owned_features;
-        std::vector<int> owned_actions;
-        const std::vector<nn::Tensor>* features = nullptr;
-        std::span<const int> actions;
-    };
+    /// Per-clip segment graphs and inverse-frequency action weights of a
+    /// dataset whose samples are already gathered.
+    void index_dataset(Phase1Dataset& data, const std::vector<geo::SegmentedLayout>& clips) const;
 
-    /// Shared phase-1 epoch core: class-weighted NLL over `sample_count`
-    /// samples fetched through `load(k, out)` (thread-safe, called from
-    /// trainer workers), minibatched per cfg.phase1_batch with fixed-order
-    /// gradient reduction. Both run_phase1_epoch overloads delegate here, so
-    /// disk replay and in-memory training share one update schedule.
-    template <typename LoadSample>
-    double phase1_epoch_over(std::size_t sample_count, const std::vector<Graph>& graphs,
-                             const std::array<float, rl::kNumActions>& action_weight,
-                             const LoadSample& load);
+    /// One optimizer step over `count` samples — the update phase 1 and
+    /// phase 2 share. `sample_grad(net, k)` runs sample k's forward pass on
+    /// `net` (a master-synced worker replica, or the master itself when
+    /// serial) and returns its logit gradient; each sample's parameter
+    /// gradient lands in its own buffer, and the buffers are reduced in
+    /// sample order before the step, so the result is bit-identical at any
+    /// cfg.train_workers.
+    template <typename SampleGrad>
+    void gradient_step(std::size_t count, const SampleGrad& sample_grad);
 
     /// One phase-2 lockstep REINFORCE episode: every clip rolls out
     /// synchronously — at each time step the active clips act in parallel

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -60,8 +61,8 @@ std::uint64_t TrajStoreWriter::intern_state(std::int32_t clip_index, std::span<c
             s.num_segments != static_cast<std::int32_t>(off32.size())) {
             continue;
         }
-        if (std::memcmp(i32_heap_.data() + s.offsets_pos, off32.data(),
-                        off32.size() * sizeof(std::int32_t)) == 0) {
+        if (std::equal(off32.begin(), off32.end(),
+                       i32_heap_.begin() + static_cast<std::ptrdiff_t>(s.offsets_pos))) {
             ++dedupe_hits_;
             return id;
         }

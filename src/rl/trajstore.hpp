@@ -1,12 +1,12 @@
 // Packed on-disk trajectory store: collect-once / replay-many teacher data.
 //
 // Teacher trajectories used to live only as transient in-memory objects, so
-// every training run paid the full collection cost and training scale was
-// capped at one process. The store decouples the two: N collectors append
-// trajectories (plus their squish-encoded per-step states) into one packed
-// binary file, and any number of trainers replay phase-1 minibatches
-// straight from a memory mapping — zero-copy, byte-identical to in-memory
-// training.
+// every training run paid the full collection cost. The store decouples the
+// two: a collector appends trajectories (plus their squish-encoded per-step
+// states) into one packed binary file, and a trainer maps and validates it,
+// then decodes it into the same phase-1 dataset in-memory collection builds
+// (core::CamoEngine::load_teacher_data) — training on it is byte-identical
+// to in-memory training.
 //
 // File layout (version 1, all little-endian, every struct #pragma pack(1)):
 //
@@ -154,10 +154,11 @@ inline constexpr std::uint32_t kStoreVersion = 1;
 
 /// Append-only store writer. Records accumulate in memory in append order
 /// (the caller is responsible for canonical clip-major / bias-minor order —
-/// CamoEngine::collect_teacher_data's gathered job order provides it, which
-/// is what makes the file bytes worker-count independent); flush() publishes
-/// everything appended so far as one complete, validated file via atomic
-/// rename. States are deduped on (clip_index, offsets) as they arrive.
+/// core::write_teacher_data appends a collected dataset in its gathered job
+/// order, which is what makes the file bytes worker-count independent);
+/// flush() publishes everything appended so far as one complete, validated
+/// file via atomic rename. States are deduped on (clip_index, offsets) as
+/// they arrive.
 class TrajStoreWriter {
 public:
     explicit TrajStoreWriter(std::string path, std::uint64_t dataset_tag = 0);

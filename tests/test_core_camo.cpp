@@ -3,10 +3,15 @@
 // deterministic and serializable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 
 #include "core/camo.hpp"
+#include "core/graph.hpp"
+#include "nn/softmax.hpp"
 #include "opc/sraf.hpp"
+#include "rl/trajectory.hpp"
 
 namespace camo::core {
 namespace {
@@ -155,6 +160,48 @@ TEST_F(CamoTest, EncodeStateShapes) {
     const auto feats = engine.encode_state(layout, offsets);
     ASSERT_EQ(static_cast<int>(feats.size()), layout.num_segments());
     for (const auto& f : feats) EXPECT_EQ(f.shape(), (std::vector<int>{6, 16, 16}));
+}
+
+// The policy side of the action frame: with the modulator off, one inference
+// step moves each segment by the policy's most probable action (the first
+// maximum of its softmax), mapped through rl::actions_to_moves and clamped
+// to +/- max_total_offset_nm. The tight bound sits below the initial bias,
+// so the clamp bites on every move that is not negative.
+TEST_F(CamoTest, InferAppliesPolicyArgmaxThroughActionFrame) {
+    CamoEngine engine(tiny_config());
+    engine.set_modulator_enabled(false);
+    const auto layout = via_layout();
+    const Graph graph = build_segment_graph(layout, engine.config().graph_threshold_nm);
+    for (const int bound : {25, 2}) {
+        SCOPED_TRACE("max_total_offset_nm=" + std::to_string(bound));
+        opc::OpcOptions opt = via_options();
+        opt.max_iterations = 1;
+        opt.exit_epe_per_feature = 0.0;  // never exit before the one step
+        opt.max_total_offset_nm = bound;
+        const std::vector<int> initial(static_cast<std::size_t>(layout.num_segments()),
+                                       opt.initial_bias_nm);
+
+        const nn::Tensor logits =
+            engine.policy().infer(engine.encode_state(layout, initial), graph);
+        std::vector<int> actions;
+        for (int i = 0; i < logits.dim(0); ++i) {
+            std::array<float, rl::kNumActions> row{};
+            for (int a = 0; a < rl::kNumActions; ++a) {
+                row[static_cast<std::size_t>(a)] = logits.at(i, a);
+            }
+            const auto p = nn::softmax(std::span<const float>(row.data(), row.size()));
+            actions.push_back(static_cast<int>(std::max_element(p.begin(), p.end()) - p.begin()));
+        }
+        const std::vector<int> moves = rl::actions_to_moves(actions);
+        std::vector<int> expected(initial.size());
+        for (std::size_t i = 0; i < initial.size(); ++i) {
+            expected[i] = std::clamp(initial[i] + moves[i], -bound, bound);
+        }
+
+        const auto res = engine.infer(layout, *sim_, opt);
+        EXPECT_EQ(res.iterations, 1);
+        EXPECT_EQ(res.final_offsets, expected);
+    }
 }
 
 TEST_F(CamoTest, DeterministicInferenceAcrossRuns) {

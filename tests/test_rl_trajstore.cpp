@@ -5,10 +5,11 @@
 //    featureful), state dedupe, and a corrupt-file corpus in the spirit of
 //    the GDS parser corpus — every truncated / torn / bit-flipped / ragged
 //    variant must fail with a typed TrajStoreError, never misread.
-//  - determinism: collect_teacher_data's store sink writes byte-identical
-//    files at 1/2/8 train workers.
-//  - replay: phase-1 training streamed from the store produces weights
-//    byte-identical to in-memory training on the same collection.
+//  - determinism: write_teacher_data writes byte-identical files from
+//    datasets collected at 1/2/8 train workers.
+//  - replay: load_teacher_data reads back a dataset equal to the collected
+//    one, so phase-1 training on it produces weights byte-identical to
+//    in-memory training on the same collection.
 //
 // Corrupt-corpus technique: structural validators sit BEHIND the checksum
 // gate, so targeted corruptions re-seal the footer hash (store_payload_hash
@@ -340,7 +341,7 @@ TEST(TrajStore, CorruptCorpusIsRejectedTyped) {
     std::remove(path.c_str());
 }
 
-// ---- Determinism: collection sink and replay training ----------------------
+// ---- Determinism: store writer, loader and replay training -----------------
 
 litho::LithoConfig test_litho_config() {
     litho::LithoConfig cfg;
@@ -392,7 +393,9 @@ std::string collect_to_store(int train_workers, const std::string& name) {
     core::CamoEngine engine(cfg);
     litho::LithoSim sim(test_litho_config());
     TrajStoreWriter writer(path, 1234);
-    engine.collect_teacher_data(small_via_clips(3), sim, short_opc_options(), &writer);
+    core::write_teacher_data(engine.collect_teacher_data(small_via_clips(3), sim,
+                                                         short_opc_options()),
+                             writer);
     return path;
 }
 
@@ -414,9 +417,9 @@ TEST(TrajStoreDeterminism, StoreMatchesInMemoryDataset) {
     core::CamoEngine engine(tiny_config());
     litho::LithoSim sim(test_litho_config());
     const auto clips = small_via_clips(3);
+    const core::Phase1Dataset data = engine.collect_teacher_data(clips, sim, short_opc_options());
     TrajStoreWriter writer(path);
-    const core::Phase1Dataset data =
-        engine.collect_teacher_data(clips, sim, short_opc_options(), &writer);
+    core::write_teacher_data(data, writer);
 
     TrajStoreReader reader(path);
     ASSERT_EQ(reader.traj_count(), data.trajectories.size());
@@ -425,11 +428,53 @@ TEST(TrajStoreDeterminism, StoreMatchesInMemoryDataset) {
         expect_same_trajectory(data.trajectories[i], reader.decode(i));
         steps += data.trajectories[i].steps.size();
     }
-    // Sample order == step order: the replay path walks samples exactly as
+    // Sample order == step order: the loader reads samples back exactly as
     // the in-memory dataset laid them out.
     EXPECT_EQ(reader.step_count(), steps);
     EXPECT_EQ(reader.step_count(), data.samples.size());
     EXPECT_GT(reader.state_count(), 0U);
+    std::remove(path.c_str());
+}
+
+TEST(TrajStoreDeterminism, LoadedDatasetEqualsCollectedDataset) {
+    const std::string path = temp_path("trajstore_load.ctrj");
+    const auto clips = small_via_clips(3);
+    core::CamoEngine engine(tiny_config());
+    litho::LithoSim sim(test_litho_config());
+    const core::Phase1Dataset collected =
+        engine.collect_teacher_data(clips, sim, short_opc_options());
+    TrajStoreWriter writer(path);
+    core::write_teacher_data(collected, writer);
+
+    const TrajStoreReader reader(path);
+    const core::Phase1Dataset loaded = engine.load_teacher_data(reader, clips);
+
+    ASSERT_EQ(loaded.samples.size(), collected.samples.size());
+    ASSERT_FALSE(loaded.samples.empty());
+    for (std::size_t k = 0; k < collected.samples.size(); ++k) {
+        const core::TeacherSample& a = collected.samples[k];
+        const core::TeacherSample& b = loaded.samples[k];
+        EXPECT_EQ(a.clip, b.clip) << "sample " << k;
+        EXPECT_EQ(a.actions, b.actions) << "sample " << k;
+        ASSERT_EQ(a.features.size(), b.features.size()) << "sample " << k;
+        for (std::size_t i = 0; i < a.features.size(); ++i) {
+            ASSERT_EQ(a.features[i].shape(), b.features[i].shape());
+            EXPECT_EQ(0, std::memcmp(a.features[i].data().data(), b.features[i].data().data(),
+                                     a.features[i].numel() * sizeof(float)))
+                << "sample " << k << " node " << i;
+        }
+    }
+    ASSERT_EQ(loaded.graphs.size(), collected.graphs.size());
+    for (std::size_t c = 0; c < collected.graphs.size(); ++c) {
+        EXPECT_EQ(loaded.graphs[c].n, collected.graphs[c].n);
+        EXPECT_EQ(loaded.graphs[c].neighbors, collected.graphs[c].neighbors);
+    }
+    EXPECT_EQ(0, std::memcmp(loaded.action_weight.data(), collected.action_weight.data(),
+                             sizeof(collected.action_weight)));
+    ASSERT_EQ(loaded.trajectories.size(), collected.trajectories.size());
+    for (std::size_t i = 0; i < collected.trajectories.size(); ++i) {
+        expect_same_trajectory(collected.trajectories[i], loaded.trajectories[i]);
+    }
     std::remove(path.c_str());
 }
 
@@ -438,62 +483,70 @@ TEST(TrajStoreDeterminism, ReplayWeightsByteIdenticalToInMemory) {
     const auto clips = small_via_clips(3);
     litho::LithoSim sim(test_litho_config());
 
-    // Path A: classic collect-and-train, 4 phase-1 epochs.
-    core::CamoEngine mem_engine(tiny_config());
-    TrajStoreWriter writer(store_path);
-    const core::Phase1Dataset data =
-        mem_engine.collect_teacher_data(clips, sim, short_opc_options(), &writer);
-    for (int e = 0; e < 4; ++e) mem_engine.run_phase1_epoch(data);
+    // Serial and parallel (pool fan-out + replica sync) gradient steps.
+    for (const int workers : {1, 4}) {
+        SCOPED_TRACE("train_workers=" + std::to_string(workers));
+        core::CamoConfig cfg = tiny_config();
+        cfg.train_workers = workers;
 
-    // Path B: fresh engine, replay the same epochs from the mapped store.
-    core::CamoEngine replay_engine(tiny_config());
-    TrajStoreReader reader(store_path);
-    const core::Phase1Replay replay = replay_engine.make_phase1_replay(reader, clips);
-    double replay_loss = 0.0;
-    for (int e = 0; e < 4; ++e) replay_loss = replay_engine.run_phase1_epoch(replay);
-    EXPECT_GT(replay_loss, 0.0);
+        // Path A: classic collect-and-train, 4 phase-1 epochs.
+        core::CamoEngine mem_engine(cfg);
+        const core::Phase1Dataset data =
+            mem_engine.collect_teacher_data(clips, sim, short_opc_options());
+        TrajStoreWriter writer(store_path);
+        core::write_teacher_data(data, writer);
+        for (int e = 0; e < 4; ++e) mem_engine.run_phase1_epoch(data);
 
-    const std::string mem_w = temp_path("trajstore_mem_w.bin");
-    const std::string rep_w = temp_path("trajstore_rep_w.bin");
-    mem_engine.save_weights(mem_w);
-    replay_engine.save_weights(rep_w);
-    const std::string a = read_file(mem_w);
-    ASSERT_FALSE(a.empty());
-    EXPECT_EQ(a, read_file(rep_w)) << "replay training diverged from in-memory training";
+        // Path B: fresh engine, the same epochs on the dataset loaded back
+        // from the store.
+        core::CamoEngine replay_engine(cfg);
+        const TrajStoreReader reader(store_path);
+        const core::Phase1Dataset loaded = replay_engine.load_teacher_data(reader, clips);
+        double replay_loss = 0.0;
+        for (int e = 0; e < 4; ++e) replay_loss = replay_engine.run_phase1_epoch(loaded);
+        EXPECT_GT(replay_loss, 0.0);
 
+        const std::string mem_w = temp_path("trajstore_mem_w.bin");
+        const std::string rep_w = temp_path("trajstore_rep_w.bin");
+        mem_engine.save_weights(mem_w);
+        replay_engine.save_weights(rep_w);
+        const std::string a = read_file(mem_w);
+        ASSERT_FALSE(a.empty());
+        EXPECT_EQ(a, read_file(rep_w)) << "replay training diverged from in-memory training";
+        std::remove(mem_w.c_str());
+        std::remove(rep_w.c_str());
+    }
     std::remove(store_path.c_str());
-    std::remove(mem_w.c_str());
-    std::remove(rep_w.c_str());
 }
 
-TEST(TrajStoreDeterminism, MakeReplayValidatesStoreAgainstClips) {
+TEST(TrajStoreDeterminism, LoadTeacherDataValidatesStoreAgainstClips) {
     const std::string path = temp_path("trajstore_validate.ctrj");
     const auto clips = small_via_clips(3);
     core::CamoEngine engine(tiny_config());
     litho::LithoSim sim(test_litho_config());
     TrajStoreWriter writer(path);
-    engine.collect_teacher_data(clips, sim, short_opc_options(), &writer);
+    core::write_teacher_data(engine.collect_teacher_data(clips, sim, short_opc_options()), writer);
     TrajStoreReader reader(path);
 
     // Fewer clips than the store references.
     const std::vector<geo::SegmentedLayout> too_few(clips.begin(), clips.begin() + 1);
-    EXPECT_THROW(engine.make_phase1_replay(reader, too_few), std::invalid_argument);
+    EXPECT_THROW((void)engine.load_teacher_data(reader, too_few), std::invalid_argument);
 
-    // A featureless store cannot feed phase-1 replay.
+    // A featureless store cannot feed phase-1 training.
     const std::string bare_path = temp_path("trajstore_bare.ctrj");
     TrajStoreWriter bare(bare_path);
     Rng rng(7);
     bare.append(random_trajectory(rng, 0, 2, 1));
     bare.flush();
     TrajStoreReader bare_reader(bare_path);
-    EXPECT_THROW(engine.make_phase1_replay(bare_reader, clips), std::invalid_argument);
+    EXPECT_THROW((void)engine.load_teacher_data(bare_reader, clips), std::invalid_argument);
 
     // Squish-size mismatch between store and engine config.
     core::CamoConfig other_cfg = tiny_config();
     other_cfg.policy.squish_size = 32;
     other_cfg.squish.size = 32;
     core::CamoEngine other(other_cfg);
-    EXPECT_THROW(other.make_phase1_replay(reader, clips), std::invalid_argument);
+    EXPECT_THROW((void)other.load_teacher_data(reader, clips), std::invalid_argument);
 
     std::remove(path.c_str());
     std::remove(bare_path.c_str());

@@ -797,9 +797,9 @@ int serve_main(int argc, char** argv) {
 
 // ---- collect / train: trajectory-store workflow -----------------------------
 // collect records rule-teacher trajectories (plus their squish-encoded
-// states) into a packed trajectory store; train replays phase-1 imitation
-// minibatches straight from the store's memory mapping and writes the
-// trained policy weights. The split lets N machines collect and one train;
+// states) into a packed trajectory store; train loads the store into the
+// phase-1 dataset, runs the imitation epochs and writes the trained policy
+// weights. The split lets N machines collect and one train;
 // `train --in-memory` runs the classic collect-and-train path with the same
 // configuration, so CI can byte-compare the two weight files.
 
@@ -896,7 +896,7 @@ int collect_main(int argc, char** argv) {
         core::CamoEngine engine(cfg);
         rl::TrajStoreWriter writer(cli.store_path, tag);
         Timer timer;
-        engine.collect_teacher_data(clips, sim, opt, &writer);
+        core::write_teacher_data(engine.collect_teacher_data(clips, sim, opt), writer);
         const double dedupe_rate =
             writer.steps() == 0
                 ? 0.0
@@ -962,30 +962,27 @@ int train_main(int argc, char** argv) {
         const auto clips = build_store_clips(cli.style, cli.seed, cli.clips);
         core::CamoEngine engine(cfg);
         Timer timer;
-        double loss = 0.0;
+        core::Phase1Dataset data;
         if (cli.in_memory) {
             litho::LithoSim sim(core::Experiment::litho_config());
             const opc::OpcOptions opt = cli.style == "via" ? core::Experiment::via_options()
                                                            : core::Experiment::metal_options();
-            const core::Phase1Dataset data = engine.collect_teacher_data(clips, sim, opt);
-            for (int e = 0; e < epochs; ++e) loss = engine.run_phase1_epoch(data);
+            data = engine.collect_teacher_data(clips, sim, opt);
         } else {
-            // Replay path: no lithography simulator at all — training cost is
-            // pure policy forward/backward over the mapped store.
-            const core::Phase1Replay replay = engine.make_phase1_replay(*store, clips);
-            for (int e = 0; e < epochs; ++e) loss = engine.run_phase1_epoch(replay);
+            // Replay path: no lithography simulator at all — the store is
+            // decoded into the same dataset in-memory collection gathers.
+            data = engine.load_teacher_data(*store, clips);
         }
+        double loss = 0.0;
+        for (int e = 0; e < epochs; ++e) loss = engine.run_phase1_epoch(data);
         engine.save_weights(cli.weights);
-        std::printf("train: %d epochs over %llu steps (%s), final loss %.6f -> %s (%.1fs)\n",
-                    epochs,
-                    static_cast<unsigned long long>(store ? store->step_count() : 0ULL),
-                    cli.in_memory ? "in-memory" : "store replay", loss, cli.weights.c_str(),
-                    timer.seconds());
+        std::printf("train: %d epochs over %zu steps (%s), final loss %.6f -> %s (%.1fs)\n",
+                    epochs, data.samples.size(), cli.in_memory ? "in-memory" : "store replay",
+                    loss, cli.weights.c_str(), timer.seconds());
         if (!cli.stats_json.empty()) {
             std::string json = "{\n";
             json += "  \"epochs\": " + std::to_string(epochs) + ",\n";
-            json += "  \"steps\": " +
-                    std::to_string(store ? store->step_count() : 0ULL) + ",\n";
+            json += "  \"steps\": " + std::to_string(data.samples.size()) + ",\n";
             json += "  \"mode\": \"" + std::string(cli.in_memory ? "in-memory" : "replay") +
                     "\",\n";
             json += "  \"final_loss\": " + std::to_string(loss) + "\n}\n";
