@@ -49,7 +49,7 @@ int main() {
     std::printf("batch OPC throughput: %d via clips, rule engine, grid %d\n", kClips,
                 litho_cfg.grid);
     std::printf("%8s %10s %12s %10s %10s %10s\n", "threads", "wall_s", "clips/s", "speedup",
-                "incr_hit", "identical");
+                "sparse", "identical");
 
     std::vector<runtime::BatchResult> results;
     double base_wall = 0.0;

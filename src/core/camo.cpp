@@ -520,10 +520,11 @@ TrainStats CamoEngine::train(const std::vector<geo::SegmentedLayout>& clips,
     const Phase1Dataset data = collect_teacher_data(clips, sim, opt);
 
     for (int epoch = 0; epoch < cfg_.phase1_epochs; ++epoch) {
-        stats.phase1_loss.push_back(run_phase1_epoch(data));
+        stats.phase1_inflight_nll.push_back(run_phase1_epoch(data));
         if (epoch % 10 == 0) {
-            log_info(cfg_.name + " phase1 epoch " + std::to_string(epoch) + " nll=" +
-                     std::to_string(stats.phase1_loss.back()));
+            log_info(cfg_.name + " phase1 epoch " + std::to_string(epoch) +
+                     " in-flight mean NLL=" +
+                     std::to_string(stats.phase1_inflight_nll.back()));
         }
     }
 

@@ -95,7 +95,9 @@ struct CamoConfig {
 };
 
 struct TrainStats {
-    std::vector<double> phase1_loss;     ///< mean NLL per epoch
+    /// Per epoch, the in-flight mean NLL: the mean of each sample's loss
+    /// before its own update. It does not score the epoch's final weights.
+    std::vector<double> phase1_inflight_nll;
     std::vector<double> phase2_reward;   ///< mean step reward per episode
 };
 
@@ -182,8 +184,9 @@ public:
 
     /// One phase-1 imitation epoch over the dataset (class-weighted NLL,
     /// minibatched per cfg.phase1_batch, per-sample gradients reduced in
-    /// fixed order). Returns the epoch's mean NLL per node — finite (0.0)
-    /// and step-free when the dataset is empty.
+    /// fixed order). Returns the epoch's in-flight mean NLL per node (each
+    /// loss taken before its own update) — finite (0.0) and step-free when
+    /// the dataset is empty.
     double run_phase1_epoch(const Phase1Dataset& data);
 
     /// Toggle the modulator (paper Section 4.4 / Figure 5 ablation).

@@ -1,5 +1,6 @@
 #include "core/experiment.hpp"
 
+#include <bit>
 #include <cstdlib>
 #include <filesystem>
 
@@ -105,23 +106,28 @@ CamoConfig Experiment::metal_rlopc_config() {
 
 std::string Experiment::weights_path(const CamoConfig& cfg, const std::string& layer_tag,
                                      rl::RewardMode objective) {
-    // Bumped whenever the trainer's update schedule or RNG derivation
-    // changes (v2: data-parallel trainer — phase-2 lockstep waves +
-    // per-(episode, clip) splitmix streams replaced the sequential shared
-    // sampling RNG), so weights cached by an older trainer are never
-    // silently served as if the current trainer produced them.
-    constexpr long long kTrainerSchemaVersion = 2;
+    // Bumped whenever the trainer's update schedule, RNG derivation or the
+    // set of hashed fields changes, so weights cached by an older trainer are
+    // never silently served as if the current trainer produced them (v2:
+    // data-parallel trainer; v3: the key covers every field below).
+    constexpr long long kTrainerSchemaVersion = 3;
 
     std::uint64_t h = 14695981039346656037ULL;
     h = fnv_mix(h, kTrainerSchemaVersion);
-    // Nominal mode contributes nothing so pre-existing cache paths survive;
-    // window modes both hash AND tag the name, keeping the distinction
-    // visible in data/ listings.
+    // Window modes both hash AND tag the name, keeping the distinction
+    // visible in data/ listings; nominal mode contributes nothing.
     std::string tag = layer_tag;
     if (objective != rl::RewardMode::kNominal) {
         h = fnv_mix(h, static_cast<long long>(objective));
         tag += std::string("-") + rl::reward_mode_name(objective);
     }
+    // Every CamoConfig field that changes the trained bytes. train_workers
+    // is deliberately NOT hashed: the trainer's fixed-order gradient
+    // reduction makes the trained weights bit-identical at any worker
+    // count, so weights cached at one worker count serve every other.
+    const auto mix_real = [&h](double v) {
+        h = fnv_mix(h, std::bit_cast<long long>(v));
+    };
     h = fnv_mix(h, cfg.policy.squish_size);
     h = fnv_mix(h, cfg.policy.embed_dim);
     h = fnv_mix(h, cfg.policy.rnn_hidden);
@@ -130,15 +136,23 @@ std::string Experiment::weights_path(const CamoConfig& cfg, const std::string& l
     h = fnv_mix(h, cfg.policy.use_gnn ? 1 : 0);
     h = fnv_mix(h, cfg.policy.use_rnn ? 1 : 0);
     h = fnv_mix(h, static_cast<long long>(cfg.policy.seed));
+    mix_real(cfg.modulator.k);
+    h = fnv_mix(h, cfg.modulator.n);
+    mix_real(cfg.modulator.b);
+    h = fnv_mix(h, cfg.modulator.enabled ? 1 : 0);
+    mix_real(cfg.reward.epsilon);
+    mix_real(cfg.reward.beta);
+    h = fnv_mix(h, cfg.squish.window_nm);
+    h = fnv_mix(h, cfg.squish.size);
+    mix_real(cfg.graph_threshold_nm);
+    mix_real(cfg.lr);
+    mix_real(cfg.clip_norm);
+    mix_real(cfg.weight_decay);
     h = fnv_mix(h, cfg.phase1_epochs);
+    h = fnv_mix(h, cfg.teacher_steps);
     h = fnv_mix(h, cfg.phase2_episodes);
-    // phase1_batch changes the optimizer-step schedule, so it is part of the
-    // key (the default per-sample schedule contributes nothing, keeping
-    // pre-existing cache paths unchanged). train_workers is deliberately
-    // NOT hashed: the trainer's fixed-order gradient reduction makes the
-    // trained weights bit-identical at any worker count, so weights cached
-    // at one worker count serve every other.
-    if (cfg.phase1_batch != 1) h = fnv_mix(h, cfg.phase1_batch);
+    h = fnv_mix(h, cfg.phase1_batch);
+    mix_real(cfg.phase2_lr_scale);
     h = fnv_mix(h, static_cast<long long>(cfg.teacher_biases.size()));
     for (int b : cfg.teacher_biases) h = fnv_mix(h, b);
     h = fnv_mix(h, static_cast<long long>(Experiment::kDatasetSeed));

@@ -1,6 +1,7 @@
 #include "litho/incremental.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -15,15 +16,27 @@ namespace {
 
 int wrap(int k, int n) { return ((k % n) + n) % n; }
 
-// Registry mirrors of the per-instance hit/full counters: incremented at
-// exactly the same sites, so the registry totals equal the sums over
-// simulators that BatchResult reports.
+// Registry mirrors of the per-instance counters: incremented at exactly the
+// same sites, so the registry totals equal the sums over simulators that
+// BatchResult reports. `hits` is unchanged + sparse.
 obs::MetricId hits_counter() {
     static const obs::MetricId id = obs::register_counter("litho.incremental.hits");
     return id;
 }
+obs::MetricId unchanged_counter() {
+    static const obs::MetricId id = obs::register_counter("litho.incremental.unchanged");
+    return id;
+}
+obs::MetricId sparse_counter() {
+    static const obs::MetricId id = obs::register_counter("litho.incremental.sparse");
+    return id;
+}
 obs::MetricId fulls_counter() {
     static const obs::MetricId id = obs::register_counter("litho.incremental.fulls");
+    return id;
+}
+obs::MetricId window_reused_counter() {
+    static const obs::MetricId id = obs::register_counter("litho.window.reused");
     return id;
 }
 obs::MetricId delta_dft_hist() {
@@ -82,6 +95,16 @@ std::uint64_t layout_fingerprint(const geo::SegmentedLayout& layout) {
     mix_polys(layout.targets());
     mix_polys(layout.srafs());
     return h;
+}
+
+// Exact equality of two spec axes: a window memo hit must return what
+// recomputation would, and the corners echo the spec's doses and focus
+// values (0.0 and -0.0 compare equal but are not the same bits).
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(), [](double x, double y) {
+               return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+           });
 }
 
 }  // namespace
@@ -259,6 +282,7 @@ void IncrementalEvaluator::rebuild_cache(const geo::SegmentedLayout& layout,
     layout_key_ = layout_fingerprint(layout);
     cache_valid_ = true;
     metrics_stale_ = true;
+    window_stale_ = true;
     clip_size_nm_ = layout.clip_size_nm();
     clip_offset_ = cfg_.clip_frame_offset_nm(clip_size_nm_);
     offsets_.assign(offsets.begin(), offsets.end());
@@ -417,17 +441,26 @@ IncrementalEvaluator::CacheUpdate IncrementalEvaluator::update_cache(
     offsets_.assign(offsets.begin(), offsets.end());
     update_spectrum(deltas);
     metrics_stale_ = true;
+    window_stale_ = true;
     return CacheUpdate::kSparse;
 }
 
 void IncrementalEvaluator::count_update(CacheUpdate update) {
-    if (update == CacheUpdate::kRebuilt) {
-        ++full_count_;
-        obs::counter_add(fulls_counter());
-    } else {
-        ++incremental_count_;
-        obs::counter_add(hits_counter());
+    switch (update) {
+        case CacheUpdate::kRebuilt:
+            ++full_count_;
+            obs::counter_add(fulls_counter());
+            return;
+        case CacheUpdate::kSparse:
+            ++sparse_count_;
+            obs::counter_add(sparse_counter());
+            break;
+        case CacheUpdate::kUnchanged:
+            ++unchanged_count_;
+            obs::counter_add(unchanged_counter());
+            break;
     }
+    obs::counter_add(hits_counter());
 }
 
 SimMetrics IncrementalEvaluator::evaluate(const geo::SegmentedLayout& layout,
@@ -446,6 +479,14 @@ WindowMetrics IncrementalEvaluator::evaluate_window(const geo::SegmentedLayout& 
                                                     const WindowSpec& spec, Cache mode) {
     spec.validate();
     const CacheUpdate update = update_cache(layout, offsets, mode);
+    if (update == CacheUpdate::kUnchanged && !window_stale_ &&
+        same_bits(spec.doses, window_spec_.doses) &&
+        same_bits(spec.defocus_nm, window_spec_.defocus_nm)) {
+        ++window_reuse_count_;
+        obs::counter_add(window_reused_counter());
+        count_update(update);
+        return window_metrics_;
+    }
 
     // One aerial per focus plane from the cached support spectrum.
     const std::vector<Complex> vals = support_values();
@@ -456,10 +497,12 @@ WindowMetrics IncrementalEvaluator::evaluate_window(const geo::SegmentedLayout& 
         const obs::Span plane_span("window.focus_plane", focus_plane_hist());
         aerials.push_back(applicator.apply(vals, cfg_.pixel_nm));
     }
-    WindowMetrics wm = window_metrics_from_aerials(layout, spec, aerials, threshold_,
-                                                   clip_offset_, cfg_);
+    window_metrics_ = window_metrics_from_aerials(layout, spec, aerials, threshold_,
+                                                  clip_offset_, cfg_);
+    window_spec_ = spec;
+    window_stale_ = false;
     count_update(update);
-    return wm;
+    return window_metrics_;
 }
 
 }  // namespace camo::litho

@@ -39,9 +39,12 @@
 //     threshold * dose now prints on both paths — so the remaining slack
 //     only covers pixels whose intensity the two float pipelines genuinely
 //     place on opposite sides of the (epsilon-shifted) contour.
-// With unchanged offsets the cached metrics are returned unchanged (exact).
-// The evaluator diffs the offsets against its cached copy, so what moved is
-// always what it re-rasterizes — callers pass no hint.
+// With unchanged offsets the cached metrics are returned unchanged (exact):
+// the nominal SimMetrics, and the last WindowMetrics when the WindowSpec is
+// also the same (doses and focus planes equal bit for bit), so a repeated
+// window evaluation images no focus plane. Any rebuild or sparse update
+// invalidates both. The evaluator diffs the offsets against its cached copy,
+// so what moved is always what it re-rasterizes — callers pass no hint.
 #pragma once
 
 #include <complex>
@@ -120,13 +123,20 @@ public:
     /// per-corner rasterization or forward FFT. Extra focus planes acquire
     /// their kernel sets from the registry on first use and are cached on
     /// this evaluator. Metrics match the dense ProcessWindowSweep within the
-    /// incremental tolerances above.
+    /// incremental tolerances above. Unchanged offsets under the spec of the
+    /// previous window evaluation return its cached WindowMetrics.
     WindowMetrics evaluate_window(const geo::SegmentedLayout& layout,
                                   std::span<const int> offsets, const WindowSpec& spec,
                                   Cache mode);
 
-    [[nodiscard]] long long incremental_count() const { return incremental_count_; }
+    /// Cached evaluations (nominal and window) that did not rebuild the
+    /// cache (kept it as is, or applied a sparse delta update), the sparse
+    /// ones among them, and those that rebuilt it.
+    [[nodiscard]] long long incremental_count() const { return unchanged_count_ + sparse_count_; }
+    [[nodiscard]] long long sparse_count() const { return sparse_count_; }
     [[nodiscard]] long long full_count() const { return full_count_; }
+    /// Window evaluations answered from the cached WindowMetrics.
+    [[nodiscard]] long long window_reuse_count() const { return window_reuse_count_; }
 
 private:
     struct PixelDelta {
@@ -188,9 +198,14 @@ private:
     std::vector<std::complex<double>> spectrum_;  ///< mask spectrum at support_
     SimMetrics metrics_;       ///< nominal metrics of the cached state, unless stale
     bool metrics_stale_ = true;  ///< the cache changed since metrics_ was computed
+    WindowMetrics window_metrics_;  ///< last window metrics of the cached state
+    WindowSpec window_spec_;        ///< the spec window_metrics_ was computed for
+    bool window_stale_ = true;      ///< the cache changed since window_metrics_ was computed
 
-    long long incremental_count_ = 0;
+    long long unchanged_count_ = 0;
+    long long sparse_count_ = 0;
     long long full_count_ = 0;
+    long long window_reuse_count_ = 0;
 };
 
 }  // namespace camo::litho

@@ -128,6 +128,14 @@ long long LithoSim::incremental_full_count() const {
     return incremental_ ? incremental_->full_count() : 0;
 }
 
+long long LithoSim::incremental_sparse_count() const {
+    return incremental_ ? incremental_->sparse_count() : 0;
+}
+
+long long LithoSim::window_reuse_count() const {
+    return incremental_ ? incremental_->window_reuse_count() : 0;
+}
+
 geo::Raster LithoSim::printed(const geo::Raster& aerial, double dose) const {
     geo::Raster out(aerial.n(), aerial.pixel_nm());
     const auto src = aerial.data();

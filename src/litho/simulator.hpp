@@ -116,6 +116,11 @@ public:
     /// layout switch, or too many moved segments).
     [[nodiscard]] long long incremental_hit_count() const;
     [[nodiscard]] long long incremental_full_count() const;
+    /// The hits that applied a sparse delta update (the rest kept the cache
+    /// as is).
+    [[nodiscard]] long long incremental_sparse_count() const;
+    /// Cached window evaluations answered from the memoized WindowMetrics.
+    [[nodiscard]] long long window_reuse_count() const;
 
     /// Nominal-focus SOCS kernels (used by the ILT engine's adjoint).
     [[nodiscard]] const KernelSet& nominal_kernels() const { return nominal_->kernels(); }

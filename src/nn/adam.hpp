@@ -4,7 +4,7 @@
 // budget the same architecture trains an order of magnitude faster under
 // Adam because the discriminative gradient component — tiny next to the
 // common mode in imitation data — is rescaled per parameter. CamoEngine
-// trains with Adam; nn::Sgd remains available as a standalone optimizer.
+// trains with Adam, the only optimizer in nn.
 #pragma once
 
 #include <vector>

@@ -21,8 +21,8 @@ bool same_window_spec(const litho::WindowSpec& a, const litho::WindowSpec& b) {
 }
 
 // Migrated BatchResult counters: the registry deltas recorded at the end of
-// run() equal the litho_evaluations / incremental_hits / incremental_fulls
-// fields of the BatchResult returned by that run.
+// run() equal the litho_evaluations / incremental_hits / incremental_sparse /
+// incremental_fulls fields of the BatchResult returned by that run.
 obs::MetricId clips_counter() {
     static const obs::MetricId id = obs::register_counter("batch.clips");
     return id;
@@ -37,6 +37,10 @@ obs::MetricId batch_evals_counter() {
 }
 obs::MetricId batch_hits_counter() {
     static const obs::MetricId id = obs::register_counter("batch.incremental_hits");
+    return id;
+}
+obs::MetricId batch_sparse_counter() {
+    static const obs::MetricId id = obs::register_counter("batch.incremental_sparse");
     return id;
 }
 obs::MetricId batch_fulls_counter() {
@@ -67,10 +71,10 @@ std::string BatchResult::summary() const {
     std::snprintf(buf, sizeof buf,
                   "%zu clips (%d failed) on %d threads: wall %.2fs, %.2f clips/s, "
                   "sum|EPE| %.1f -> %.1f nm (avg %.1f), PVB %.0f nm^2, %lld litho evals "
-                  "(%.0f%% incremental)",
+                  "(%lld rebuilt / %lld sparse / %lld unchanged)",
                   clips.size(), failed, threads, wall_s, throughput_cps, sum_initial_epe,
                   sum_final_epe, avg_final_epe(), sum_pvband_nm2, litho_evaluations,
-                  100.0 * incremental_hit_rate());
+                  incremental_fulls, incremental_sparse, incremental_unchanged());
     std::string out = buf;
     if (reward_mode != rl::RewardMode::kNominal) {
         std::snprintf(buf, sizeof buf, "; reward %s", rl::reward_mode_name(reward_mode));
@@ -130,10 +134,12 @@ StreamStats BatchScheduler::run_streaming(const std::vector<geo::SegmentedLayout
 
     long long evals_before = 0;
     long long hits_before = 0;
+    long long sparse_before = 0;
     long long fulls_before = 0;
     for (const litho::LithoSim& sim : sims_) {
         evals_before += sim.evaluate_count();
         hits_before += sim.incremental_hit_count();
+        sparse_before += sim.incremental_sparse_count();
         fulls_before += sim.incremental_full_count();
     }
 
@@ -225,15 +231,18 @@ StreamStats BatchScheduler::run_streaming(const std::vector<geo::SegmentedLayout
     for (const litho::LithoSim& sim : sims_) {
         stats.litho_evaluations += sim.evaluate_count();
         stats.incremental_hits += sim.incremental_hit_count();
+        stats.incremental_sparse += sim.incremental_sparse_count();
         stats.incremental_fulls += sim.incremental_full_count();
     }
     stats.litho_evaluations -= evals_before;
     stats.incremental_hits -= hits_before;
+    stats.incremental_sparse -= sparse_before;
     stats.incremental_fulls -= fulls_before;
     obs::counter_add(clips_counter(), stats.delivered);
     obs::counter_add(failed_counter(), stats.failed);
     obs::counter_add(batch_evals_counter(), stats.litho_evaluations);
     obs::counter_add(batch_hits_counter(), stats.incremental_hits);
+    obs::counter_add(batch_sparse_counter(), stats.incremental_sparse);
     obs::counter_add(batch_fulls_counter(), stats.incremental_fulls);
     return stats;
 }
@@ -271,6 +280,7 @@ BatchResult BatchScheduler::run(const std::vector<geo::SegmentedLayout>& clips,
     }
     batch.litho_evaluations = stats.litho_evaluations;
     batch.incremental_hits = stats.incremental_hits;
+    batch.incremental_sparse = stats.incremental_sparse;
     batch.incremental_fulls = stats.incremental_fulls;
     batch.throughput_cps = batch.wall_s > 0.0 ? batch.ok() / batch.wall_s : 0.0;
     return batch;

@@ -87,8 +87,9 @@ struct BatchResult {
     double wall_s = 0.0;            ///< end-to-end batch wall time
     double throughput_cps = 0.0;    ///< successful clips per second
     long long litho_evaluations = 0;
-    long long incremental_hits = 0;   ///< cached evaluations reusing the cache (as is or sparse)
-    long long incremental_fulls = 0;  ///< cached evaluations (nominal or window) that rebuilt it
+    long long incremental_hits = 0;    ///< cached evaluations reusing the cache (as is or sparse)
+    long long incremental_sparse = 0;  ///< the hits that applied a sparse delta update
+    long long incremental_fulls = 0;   ///< cached evaluations (nominal or window) that rebuilt it
     int failed = 0;
     double sum_initial_epe = 0.0;
     double sum_final_epe = 0.0;
@@ -102,11 +103,17 @@ struct BatchResult {
     /// Successful clip count (clips.size() - failed).
     [[nodiscard]] int ok() const { return static_cast<int>(clips.size()) - failed; }
 
-    /// Fraction of cached evaluations that did not rebuild the cache: the
-    /// sparse delta updates plus the reuses of an unchanged cache.
+    /// Cached evaluations that kept the cache as is (no litho work).
+    [[nodiscard]] long long incremental_unchanged() const {
+        return incremental_hits - incremental_sparse;
+    }
+
+    /// sparse / (sparse + rebuilt): of the cached evaluations that updated
+    /// the cache, the fraction a sparse delta served. Reuses of an unchanged
+    /// cache are not counted; they do no litho work.
     [[nodiscard]] double incremental_hit_rate() const {
-        const long long total = incremental_hits + incremental_fulls;
-        return total > 0 ? static_cast<double>(incremental_hits) / static_cast<double>(total)
+        const long long total = incremental_sparse + incremental_fulls;
+        return total > 0 ? static_cast<double>(incremental_sparse) / static_cast<double>(total)
                          : 0.0;
     }
 
@@ -156,8 +163,9 @@ struct StreamStats {
     int failed = 0;     ///< delivered results with a non-empty error
     double wall_s = 0.0;
     long long litho_evaluations = 0;
-    long long incremental_hits = 0;   ///< cached evaluations reusing the cache (as is or sparse)
-    long long incremental_fulls = 0;  ///< cached evaluations (nominal or window) that rebuilt it
+    long long incremental_hits = 0;    ///< cached evaluations reusing the cache (as is or sparse)
+    long long incremental_sparse = 0;  ///< the hits that applied a sparse delta update
+    long long incremental_fulls = 0;   ///< cached evaluations (nominal or window) that rebuilt it
 };
 
 /// Shards clip jobs over a worker pool. Construction acquires the shared

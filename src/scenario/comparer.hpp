@@ -73,7 +73,7 @@ struct CellResult {
     double worst_epe = 0.0;     ///< avg worst-corner sum |EPE|
     double pvb_exact_nm2 = 0.0; ///< avg exact PV band
     double epe_l2 = 0.0;        ///< avg L2 norm of the worst corner's EPE profile
-    double hit_rate = 0.0;      ///< incremental-evaluation hit rate of the cell's batch
+    double hit_rate = 0.0;      ///< BatchResult::incremental_hit_rate of the cell's batch
 
     double wall_s = 0.0;           ///< cell batch wall time (timing: excluded from fingerprint)
     double clip_runtime_s = 0.0;   ///< summed per-clip engine time (timing)

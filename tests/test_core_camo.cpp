@@ -91,8 +91,8 @@ TEST_F(CamoTest, Phase1LossDecreases) {
     CamoEngine engine(tiny_config());
     const std::vector<geo::SegmentedLayout> clips = {via_layout()};
     const TrainStats stats = engine.train(clips, *sim_, via_options());
-    ASSERT_EQ(stats.phase1_loss.size(), 15U);
-    EXPECT_LT(stats.phase1_loss.back(), stats.phase1_loss.front());
+    ASSERT_EQ(stats.phase1_inflight_nll.size(), 15U);
+    EXPECT_LT(stats.phase1_inflight_nll.back(), stats.phase1_inflight_nll.front());
     ASSERT_EQ(stats.phase2_reward.size(), 1U);
 }
 

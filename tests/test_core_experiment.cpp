@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/experiment.hpp"
 
 namespace camo::core {
@@ -78,6 +82,38 @@ TEST(Experiment, WeightsPathDistinguishesConfigs) {
               std::string::npos);
 }
 
+TEST(Experiment, WeightsPathKeysEveryTrainingField) {
+    // Each of these fields changes the trained bytes, so each must move the
+    // cache key: otherwise a schedule change silently serves stale weights.
+    const CamoConfig base = Experiment::via_camo_config();
+    const std::string base_path = Experiment::weights_path(base, "via");
+    const std::vector<std::pair<const char*, void (*)(CamoConfig&)>> changes = {
+        {"lr", [](CamoConfig& c) { c.lr *= 0.5F; }},
+        {"teacher_steps", [](CamoConfig& c) { c.teacher_steps += 1; }},
+        {"clip_norm", [](CamoConfig& c) { c.clip_norm += 1.0F; }},
+        {"weight_decay", [](CamoConfig& c) { c.weight_decay *= 2.0F; }},
+        {"phase2_lr_scale", [](CamoConfig& c) { c.phase2_lr_scale += 0.1F; }},
+        {"graph_threshold_nm", [](CamoConfig& c) { c.graph_threshold_nm += 10.0; }},
+        {"squish.window_nm", [](CamoConfig& c) { c.squish.window_nm += 100; }},
+        {"squish.size", [](CamoConfig& c) { c.squish.size *= 2; }},
+        {"modulator.k", [](CamoConfig& c) { c.modulator.k *= 2.0; }},
+        {"modulator.n", [](CamoConfig& c) { c.modulator.n += 2; }},
+        {"modulator.b", [](CamoConfig& c) { c.modulator.b += 1.0; }},
+        {"modulator.enabled", [](CamoConfig& c) { c.modulator.enabled = !c.modulator.enabled; }},
+        {"reward.epsilon", [](CamoConfig& c) { c.reward.epsilon *= 2.0; }},
+        {"reward.beta", [](CamoConfig& c) { c.reward.beta *= 2.0; }},
+    };
+    for (const auto& [field, change] : changes) {
+        CamoConfig cfg = base;
+        change(cfg);
+        EXPECT_NE(Experiment::weights_path(cfg, "via"), base_path) << field;
+    }
+
+    CamoConfig workers = base;
+    workers.train_workers = base.train_workers + 3;
+    EXPECT_EQ(Experiment::weights_path(workers, "via"), base_path);
+}
+
 TEST(Experiment, WeightsPathIndependentOfTrainWorkers) {
     // The data-parallel trainer's reduction contract makes trained weights
     // bit-identical at any worker count, so the cache key must NOT encode
@@ -91,8 +127,7 @@ TEST(Experiment, WeightsPathIndependentOfTrainWorkers) {
     }
 
     // The minibatch size DOES change the optimizer-step schedule (and hence
-    // the weights), so it is part of the key; the default per-sample
-    // schedule keeps pre-existing cache paths unchanged.
+    // the weights), so it is part of the key.
     CamoConfig batched = base;
     batched.phase1_batch = 8;
     EXPECT_NE(Experiment::weights_path(base, "via"), Experiment::weights_path(batched, "via"));

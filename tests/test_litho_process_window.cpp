@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <iomanip>
@@ -30,6 +31,8 @@
 #include "litho/incremental.hpp"
 #include "litho/process_window.hpp"
 #include "litho/simulator.hpp"
+#include "obs/metrics.hpp"
+#include "opc/rule_engine.hpp"
 
 #ifndef CAMO_GOLDEN_DIR
 #define CAMO_GOLDEN_DIR "tests/golden"
@@ -342,6 +345,198 @@ TEST_F(ProcessWindowTest, CachedExtraFocusPlaneTracksDenseAcrossWalk) {
     }
     EXPECT_EQ(inc_sim.incremental_full_count(), 1);
     EXPECT_EQ(inc_sim.incremental_hit_count(), steps);
+}
+
+// ---- Window memo ------------------------------------------------------------
+
+bool same_doubles(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool same_double(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+// Bit-for-bit equality of two window evaluations: every double of every
+// corner and every window aggregate.
+void expect_same_bits(const WindowMetrics& a, const WindowMetrics& b, const std::string& what) {
+    ASSERT_EQ(a.corners.size(), b.corners.size()) << what;
+    for (std::size_t c = 0; c < a.corners.size(); ++c) {
+        const CornerResult& x = a.corners[c];
+        const CornerResult& y = b.corners[c];
+        EXPECT_TRUE(same_double(x.corner.dose, y.corner.dose)) << what << " corner " << c;
+        EXPECT_TRUE(same_double(x.corner.defocus_nm, y.corner.defocus_nm))
+            << what << " corner " << c;
+        EXPECT_TRUE(same_doubles(x.metrics.epe, y.metrics.epe)) << what << " corner " << c;
+        EXPECT_TRUE(same_doubles(x.metrics.epe_segment, y.metrics.epe_segment))
+            << what << " corner " << c;
+        EXPECT_TRUE(same_double(x.metrics.sum_abs_epe, y.metrics.sum_abs_epe))
+            << what << " corner " << c;
+        EXPECT_TRUE(same_double(x.metrics.pvband_nm2, y.metrics.pvband_nm2))
+            << what << " corner " << c;
+        EXPECT_TRUE(same_double(x.printed_area_nm2, y.printed_area_nm2))
+            << what << " corner " << c;
+    }
+    EXPECT_EQ(a.worst_corner, b.worst_corner) << what;
+    EXPECT_TRUE(same_double(a.worst_epe, b.worst_epe)) << what;
+    EXPECT_TRUE(same_double(a.cd_min_nm2, b.cd_min_nm2)) << what;
+    EXPECT_TRUE(same_double(a.cd_max_nm2, b.cd_max_nm2)) << what;
+    EXPECT_TRUE(same_double(a.pv_band_exact_nm2, b.pv_band_exact_nm2)) << what;
+    EXPECT_TRUE(same_double(a.pv_band_two_corner_nm2, b.pv_band_two_corner_nm2)) << what;
+}
+
+TEST_F(ProcessWindowTest, WindowMemoReturnsCachedMetricsAtUnchangedOffsets) {
+    LithoSim inc_sim(*sim_);
+    const auto layout = via_layout(3, 26);
+    const std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()), 3);
+    const WindowSpec spec = WindowSpec::standard(sim_->config());
+
+    const WindowMetrics first =
+        inc_sim.evaluate_window_incremental(layout, offsets, spec, Cache::kPrime);
+    const WindowMetrics again =
+        inc_sim.evaluate_window_incremental(layout, offsets, spec, Cache::kReuse);
+    expect_same_bits(again, first, "repeat");
+    EXPECT_EQ(inc_sim.window_reuse_count(), 1);
+    // The memo hit still counts as an unchanged cache hit.
+    EXPECT_EQ(inc_sim.incremental_full_count(), 1);
+    EXPECT_EQ(inc_sim.incremental_hit_count(), 1);
+    EXPECT_EQ(inc_sim.incremental_sparse_count(), 0);
+
+    // A nominal evaluation in between leaves the cache (and the memo) as is.
+    LithoSim fresh_nominal(*sim_);
+    const SimMetrics nominal = inc_sim.evaluate_incremental(layout, offsets, Cache::kReuse);
+    const SimMetrics nominal_ref =
+        fresh_nominal.evaluate_incremental(layout, offsets, Cache::kPrime);
+    EXPECT_TRUE(same_doubles(nominal.epe_segment, nominal_ref.epe_segment));
+    EXPECT_TRUE(same_double(nominal.pvband_nm2, nominal_ref.pvband_nm2));
+    expect_same_bits(inc_sim.evaluate_window_incremental(layout, offsets, spec, Cache::kReuse),
+                     first, "after nominal");
+    EXPECT_EQ(inc_sim.window_reuse_count(), 2);
+    EXPECT_EQ(inc_sim.incremental_full_count(), 1);
+}
+
+TEST_F(ProcessWindowTest, WindowMemoRecomputesWhatAFreshEvaluatorWould) {
+    const auto layout = via_layout(3, 26);
+    std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()), 3);
+    const WindowSpec spec = WindowSpec::standard(sim_->config());
+
+    // Each case runs one evaluator through a warm memo (prime + repeat) and
+    // then a change; the reference is a fresh evaluator that saw the same
+    // cache updates without the memo hit. Equal bits mean the memo neither
+    // served a stale value nor disturbed the cache.
+    const auto warm = [&](LithoSim& s, const geo::SegmentedLayout& l,
+                          const std::vector<int>& offs) {
+        (void)s.evaluate_window_incremental(l, offs, spec, Cache::kPrime);
+        (void)s.evaluate_window_incremental(l, offs, spec, Cache::kReuse);
+        ASSERT_EQ(s.window_reuse_count(), 1);
+    };
+
+    {  // A different spec: other doses, then a bit-different (-0.0) focus.
+        WindowSpec other = spec;
+        other.doses = {0.97, 1.0, 1.03};
+        WindowSpec signed_zero = spec;
+        signed_zero.defocus_nm[0] = -0.0;
+        for (const WindowSpec* next : {&other, &signed_zero}) {
+            LithoSim memo(*sim_);
+            warm(memo, layout, offsets);
+            const WindowMetrics got =
+                memo.evaluate_window_incremental(layout, offsets, *next, Cache::kReuse);
+            LithoSim fresh(*sim_);
+            expect_same_bits(got,
+                             fresh.evaluate_window_incremental(layout, offsets, *next,
+                                                               Cache::kPrime),
+                             "different spec");
+            EXPECT_EQ(memo.window_reuse_count(), 1);
+        }
+    }
+    {  // kPrime at unchanged offsets rebuilds and recomputes.
+        LithoSim memo(*sim_);
+        warm(memo, layout, offsets);
+        const WindowMetrics got =
+            memo.evaluate_window_incremental(layout, offsets, spec, Cache::kPrime);
+        LithoSim fresh(*sim_);
+        expect_same_bits(
+            got, fresh.evaluate_window_incremental(layout, offsets, spec, Cache::kPrime),
+            "kPrime");
+        EXPECT_EQ(memo.window_reuse_count(), 1);
+        EXPECT_EQ(memo.incremental_full_count(), 2);
+    }
+    // A one-segment move (the sparse path) and a different layout with the
+    // same segment count and offsets (a rebuild). Each change reaches the
+    // cache either through the window evaluation itself or through a
+    // nominal evaluation in between, after which the window evaluation sees
+    // unchanged offsets and must still not serve the memo.
+    std::vector<int> moved = offsets;
+    moved[1] += 2;
+    const auto other = via_layout(3, 27);
+    ASSERT_EQ(other.num_segments(), layout.num_segments());
+    struct Change {
+        const char* name;
+        const geo::SegmentedLayout* layout;
+        const std::vector<int>* offsets;
+    };
+    for (const Change& change : {Change{"one-segment move", &layout, &moved},
+                                 Change{"different layout", &other, &offsets}}) {
+        for (const bool via_nominal : {false, true}) {
+            const std::string what =
+                std::string(change.name) + (via_nominal ? " via nominal" : "");
+            LithoSim memo(*sim_);
+            warm(memo, layout, offsets);
+            // The reference primes through a nominal evaluation, so it has
+            // no window memo to serve.
+            LithoSim fresh(*sim_);
+            (void)fresh.evaluate_incremental(layout, offsets, Cache::kPrime);
+            for (LithoSim* s : {&memo, &fresh}) {
+                if (via_nominal) {
+                    (void)s->evaluate_incremental(*change.layout, *change.offsets, Cache::kReuse);
+                }
+            }
+            expect_same_bits(memo.evaluate_window_incremental(*change.layout, *change.offsets,
+                                                              spec, Cache::kReuse),
+                             fresh.evaluate_window_incremental(*change.layout, *change.offsets,
+                                                               spec, Cache::kReuse),
+                             what);
+            EXPECT_EQ(memo.window_reuse_count(), 1) << what;
+            EXPECT_EQ(fresh.window_reuse_count(), 0) << what;
+            EXPECT_EQ(memo.incremental_sparse_count(), fresh.incremental_sparse_count()) << what;
+            EXPECT_EQ(memo.incremental_full_count(), fresh.incremental_full_count()) << what;
+        }
+    }
+}
+
+TEST_F(ProcessWindowTest, WindowMemoWorkCountsOnWorstCornerRollout) {
+    // Exact work accounting on a short worst-corner rule rollout: every
+    // rebuilt or sparse evaluation images each focus plane once, and every
+    // unchanged one is a memo hit that images none.
+    LithoSim inc_sim(*sim_);
+    const auto layout = metal_layout(24, 22);
+    opc::OpcOptions opt;
+    opt.max_iterations = 8;
+    opt.initial_bias_nm = 0;
+    opt.objective = rl::RewardMode::kWorstCorner;
+
+    obs::set_metrics_enabled(true);
+    obs::reset_metrics();
+    (void)opc::RuleEngine().optimize(layout, inc_sim, opt);
+    const auto snap = obs::snapshot_metrics();
+    obs::set_metrics_enabled(false);
+    const auto count = [&snap](const char* name) {
+        const obs::MetricSnapshot* m = obs::find_metric(snap, name);
+        return m == nullptr ? 0LL : (m->type == obs::MetricType::kHistogram ? m->hist_count
+                                                                             : m->counter);
+    };
+
+    const long long planes = WindowSpec::standard(sim_->config()).focus_count();
+    const long long rebuilt = count("litho.incremental.fulls");
+    const long long sparse = count("litho.incremental.sparse");
+    const long long unchanged = count("litho.incremental.unchanged");
+    EXPECT_EQ(rebuilt, inc_sim.incremental_full_count());
+    EXPECT_EQ(sparse, inc_sim.incremental_sparse_count());
+    EXPECT_EQ(unchanged, inc_sim.incremental_hit_count() - sparse);
+    EXPECT_EQ(count("litho.incremental.hits"), sparse + unchanged);
+    EXPECT_EQ(count("window.focus_plane.ns"), planes * (rebuilt + sparse));
+    EXPECT_EQ(count("litho.window.reused"), unchanged);
+    EXPECT_EQ(inc_sim.window_reuse_count(), unchanged);
+    EXPECT_GT(unchanged, 0) << "the rollout should revisit an unchanged mask";
 }
 
 // ---- Golden window fixtures ------------------------------------------------

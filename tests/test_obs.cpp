@@ -491,6 +491,7 @@ TEST(ObsContract, BatchBitIdenticalTelemetryOnVsOff) {
     }
     EXPECT_EQ(off.litho_evaluations, on.litho_evaluations);
     EXPECT_EQ(off.incremental_hits, on.incremental_hits);
+    EXPECT_EQ(off.incremental_sparse, on.incremental_sparse);
     EXPECT_EQ(off.incremental_fulls, on.incremental_fulls);
 
     // The migrated registry counters match the BatchResult fields exactly.
@@ -498,11 +499,14 @@ TEST(ObsContract, BatchBitIdenticalTelemetryOnVsOff) {
     EXPECT_EQ(counter_value("batch.failed"), static_cast<long long>(on.failed));
     EXPECT_EQ(counter_value("batch.litho_evaluations"), on.litho_evaluations);
     EXPECT_EQ(counter_value("batch.incremental_hits"), on.incremental_hits);
+    EXPECT_EQ(counter_value("batch.incremental_sparse"), on.incremental_sparse);
     EXPECT_EQ(counter_value("batch.incremental_fulls"), on.incremental_fulls);
     // So does the litho-layer counter (this batch was the only evaluator
     // since reset_metrics).
     EXPECT_EQ(counter_value("litho.evaluations"), on.litho_evaluations);
     EXPECT_EQ(counter_value("litho.incremental.hits"), on.incremental_hits);
+    EXPECT_EQ(counter_value("litho.incremental.sparse"), on.incremental_sparse);
+    EXPECT_EQ(counter_value("litho.incremental.unchanged"), on.incremental_unchanged());
     EXPECT_EQ(counter_value("litho.incremental.fulls"), on.incremental_fulls);
     EXPECT_EQ(counter_value("pool.tasks"), static_cast<long long>(on.clips.size()));
 
@@ -512,6 +516,36 @@ TEST(ObsContract, BatchBitIdenticalTelemetryOnVsOff) {
         if (std::strcmp(name, "batch.clip") == 0) ++clip_spans;
     });
     EXPECT_EQ(clip_spans, static_cast<long long>(on.clips.size()));
+}
+
+TEST(ObsContract, WorstCornerBatchBitIdenticalTelemetryOnVsOff) {
+    // The window memo and its counters ride the worst-corner objective: the
+    // result is the same with telemetry on or off, and every unchanged
+    // window evaluation shows up as a memo hit.
+    const auto clips = test_clips(2);
+    runtime::BatchOptions opt = batch_options(2);
+    opt.opc.objective = rl::RewardMode::kWorstCorner;
+
+    TelemetryGuard guard;  // telemetry OFF
+    runtime::BatchScheduler plain(test_litho_config(), opt);
+    const runtime::BatchResult off = plain.run_rule(clips);
+
+    set_metrics_enabled(true);
+    runtime::BatchScheduler metered(test_litho_config(), opt);
+    const runtime::BatchResult on = metered.run_rule(clips);
+
+    ASSERT_EQ(off.clips.size(), on.clips.size());
+    for (std::size_t i = 0; i < off.clips.size(); ++i) {
+        EXPECT_EQ(off.clips[i].offsets, on.clips[i].offsets) << "clip " << i;
+        ASSERT_TRUE(off.clips[i].window.has_value() && on.clips[i].window.has_value());
+        EXPECT_EQ(0, std::memcmp(&off.clips[i].window->worst_epe, &on.clips[i].window->worst_epe,
+                                 sizeof(double)))
+            << "clip " << i;
+    }
+    EXPECT_EQ(off.incremental_hits, on.incremental_hits);
+    EXPECT_EQ(off.incremental_sparse, on.incremental_sparse);
+    EXPECT_EQ(off.incremental_fulls, on.incremental_fulls);
+    EXPECT_EQ(counter_value("litho.window.reused"), on.incremental_unchanged());
 }
 
 TEST(ObsContract, TrainingWeightBytesIdenticalTelemetryOnVsOff) {
@@ -533,9 +567,10 @@ TEST(ObsContract, TrainingWeightBytesIdenticalTelemetryOnVsOff) {
     const std::string on_path = testing::TempDir() + "obs_weights_on.bin";
     on_engine.save_weights(on_path);
 
-    ASSERT_EQ(off_stats.phase1_loss.size(), on_stats.phase1_loss.size());
-    EXPECT_EQ(0, std::memcmp(off_stats.phase1_loss.data(), on_stats.phase1_loss.data(),
-                             off_stats.phase1_loss.size() * sizeof(double)));
+    ASSERT_EQ(off_stats.phase1_inflight_nll.size(), on_stats.phase1_inflight_nll.size());
+    EXPECT_EQ(0, std::memcmp(off_stats.phase1_inflight_nll.data(),
+                             on_stats.phase1_inflight_nll.data(),
+                             off_stats.phase1_inflight_nll.size() * sizeof(double)));
     ASSERT_EQ(off_stats.phase2_reward.size(), on_stats.phase2_reward.size());
     EXPECT_EQ(0, std::memcmp(off_stats.phase2_reward.data(), on_stats.phase2_reward.data(),
                              off_stats.phase2_reward.size() * sizeof(double)));

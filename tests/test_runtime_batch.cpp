@@ -322,9 +322,9 @@ TEST(BatchScheduler, WorstCornerPhase2TraceIsByteIdentical) {
         EXPECT_EQ(0, std::memcmp(&ra, &rb, sizeof ra)) << "episode " << i;
         EXPECT_TRUE(std::isfinite(ra)) << "episode " << i;
     }
-    ASSERT_EQ(a.phase1_loss.size(), b.phase1_loss.size());
-    for (std::size_t i = 0; i < a.phase1_loss.size(); ++i) {
-        EXPECT_EQ(a.phase1_loss[i], b.phase1_loss[i]) << "epoch " << i;
+    ASSERT_EQ(a.phase1_inflight_nll.size(), b.phase1_inflight_nll.size());
+    for (std::size_t i = 0; i < a.phase1_inflight_nll.size(); ++i) {
+        EXPECT_EQ(a.phase1_inflight_nll[i], b.phase1_inflight_nll[i]) << "epoch " << i;
     }
 }
 

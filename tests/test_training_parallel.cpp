@@ -170,7 +170,7 @@ TEST(TrainingParallel, TeacherCollectionBitIdenticalAcrossWorkerCounts) {
     }
 }
 
-// The acceptance property: phase1_loss / phase2_reward traces and the
+// The acceptance property: phase1_inflight_nll / phase2_reward traces and the
 // serialized weight bytes are identical for train_workers in {1, 2, 8} on
 // the via3 and metal24 fixtures.
 TEST(TrainingParallel, TracesAndWeightBytesIdenticalAcrossWorkerCounts) {
@@ -204,7 +204,7 @@ TEST(TrainingParallel, TracesAndWeightBytesIdenticalAcrossWorkerCounts) {
             std::remove(path.c_str());
             ASSERT_FALSE(bytes.empty()) << f.name;
 
-            for (double v : stats.phase1_loss) EXPECT_TRUE(std::isfinite(v)) << f.name;
+            for (double v : stats.phase1_inflight_nll) EXPECT_TRUE(std::isfinite(v)) << f.name;
             for (double v : stats.phase2_reward) EXPECT_TRUE(std::isfinite(v)) << f.name;
 
             if (workers == 1) {
@@ -212,7 +212,7 @@ TEST(TrainingParallel, TracesAndWeightBytesIdenticalAcrossWorkerCounts) {
                 ref_bytes = bytes;
                 continue;
             }
-            EXPECT_TRUE(same_double_bits(stats.phase1_loss, ref_stats.phase1_loss))
+            EXPECT_TRUE(same_double_bits(stats.phase1_inflight_nll, ref_stats.phase1_inflight_nll))
                 << f.name << " phase1 trace diverged at " << workers << " workers";
             EXPECT_TRUE(same_double_bits(stats.phase2_reward, ref_stats.phase2_reward))
                 << f.name << " phase2 trace diverged at " << workers << " workers";
@@ -279,9 +279,9 @@ TEST(TrainingParallel, FuzzedWorkerClipAndBatchCounts) {
                 litho::LithoSim run_sim(test_litho_config());
                 const TrainStats stats = engine.train(clips, run_sim, opt);
 
-                ASSERT_EQ(stats.phase1_loss.size(), 1U);
+                ASSERT_EQ(stats.phase1_inflight_nll.size(), 1U);
                 ASSERT_EQ(stats.phase2_reward.size(), 1U);
-                EXPECT_TRUE(std::isfinite(stats.phase1_loss[0]));
+                EXPECT_TRUE(std::isfinite(stats.phase1_inflight_nll[0]));
                 EXPECT_TRUE(std::isfinite(stats.phase2_reward[0]));
 
                 if (workers == 1) {
@@ -289,7 +289,8 @@ TEST(TrainingParallel, FuzzedWorkerClipAndBatchCounts) {
                     ref_weights = weight_snapshot(engine);
                     continue;
                 }
-                EXPECT_TRUE(same_double_bits(stats.phase1_loss, ref_stats.phase1_loss))
+                EXPECT_TRUE(
+                    same_double_bits(stats.phase1_inflight_nll, ref_stats.phase1_inflight_nll))
                     << "clips " << clip_count << " batch " << batch << " workers " << workers;
                 EXPECT_TRUE(same_double_bits(stats.phase2_reward, ref_stats.phase2_reward))
                     << "clips " << clip_count << " batch " << batch << " workers " << workers;
@@ -313,9 +314,9 @@ TEST(TrainingParallel, DegenerateInputsAreFiniteAndStepFree) {
         CamoEngine engine(cfg);
         const auto before = weight_snapshot(engine);
         const TrainStats stats = engine.train({}, sim, opt);
-        ASSERT_EQ(stats.phase1_loss.size(), static_cast<std::size_t>(cfg.phase1_epochs));
+        ASSERT_EQ(stats.phase1_inflight_nll.size(), static_cast<std::size_t>(cfg.phase1_epochs));
         ASSERT_EQ(stats.phase2_reward.size(), static_cast<std::size_t>(cfg.phase2_episodes));
-        for (double v : stats.phase1_loss) EXPECT_EQ(v, 0.0);
+        for (double v : stats.phase1_inflight_nll) EXPECT_EQ(v, 0.0);
         for (double v : stats.phase2_reward) EXPECT_EQ(v, 0.0);
         EXPECT_TRUE(same_weights(engine, before)) << "zero clips must not step";
     }
@@ -329,7 +330,7 @@ TEST(TrainingParallel, DegenerateInputsAreFiniteAndStepFree) {
         CamoEngine engine(cfg);
         const auto before = weight_snapshot(engine);
         const TrainStats stats = engine.train(small_via_clips(1), sim, opt);
-        for (double v : stats.phase1_loss) {
+        for (double v : stats.phase1_inflight_nll) {
             EXPECT_TRUE(std::isfinite(v));
             EXPECT_EQ(v, 0.0);
         }
@@ -347,7 +348,7 @@ TEST(TrainingParallel, DegenerateInputsAreFiniteAndStepFree) {
         CamoEngine engine(cfg);
         const auto before = weight_snapshot(engine);
         const TrainStats stats = engine.train({empty, empty}, sim, opt);
-        for (double v : stats.phase1_loss) EXPECT_EQ(v, 0.0);
+        for (double v : stats.phase1_inflight_nll) EXPECT_EQ(v, 0.0);
         for (double v : stats.phase2_reward) EXPECT_EQ(v, 0.0);
         EXPECT_TRUE(same_weights(engine, before));
 
@@ -361,7 +362,8 @@ TEST(TrainingParallel, DegenerateInputsAreFiniteAndStepFree) {
         litho::LithoSim plain_sim(test_litho_config());
         const TrainStats plain_stats = plain.train({real[0]}, plain_sim, opt);
 
-        EXPECT_TRUE(same_double_bits(mixed_stats.phase1_loss, plain_stats.phase1_loss));
+        EXPECT_TRUE(
+            same_double_bits(mixed_stats.phase1_inflight_nll, plain_stats.phase1_inflight_nll));
         for (double v : mixed_stats.phase2_reward) EXPECT_TRUE(std::isfinite(v));
     }
 }
@@ -429,7 +431,7 @@ TEST(TrainingParallel, WorstCornerPhase2IdenticalAcrossWorkerCounts) {
             ref = stats;
             continue;
         }
-        EXPECT_TRUE(same_double_bits(stats.phase1_loss, ref.phase1_loss));
+        EXPECT_TRUE(same_double_bits(stats.phase1_inflight_nll, ref.phase1_inflight_nll));
         EXPECT_TRUE(same_double_bits(stats.phase2_reward, ref.phase2_reward));
     }
 }
