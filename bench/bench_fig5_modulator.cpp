@@ -19,12 +19,8 @@ int main() {
     opc::OpcOptions opt = core::Experiment::metal_options();
     opt.exit_epe_per_point = 0.0;  // no early exit: show all 15 steps
 
-    const core::CamoConfig cfg = core::Experiment::metal_camo_config();
-    core::CamoEngine camo(cfg);
-    const auto train_clips = core::fragment_metal_clips(
-        layout::metal_training_set(core::Experiment::kDatasetSeed, 5));
-    core::ensure_trained(camo, train_clips, sim, core::Experiment::metal_options(),
-                         core::Experiment::weights_path(cfg, "metal"));
+    core::CamoEngine camo(core::Experiment::metal_camo_config());
+    core::ensure_trained(camo, "metal");
 
     const auto test = layout::metal_test_set(core::Experiment::kDatasetSeed);
     const auto layouts = core::fragment_metal_clips(test);

@@ -14,12 +14,8 @@ int main() {
     litho::LithoSim sim(core::Experiment::litho_config());
     const opc::OpcOptions opt = core::Experiment::metal_options();
 
-    const core::CamoConfig cfg = core::Experiment::metal_camo_config();
-    core::CamoEngine camo(cfg);
-    const auto train_clips = core::fragment_metal_clips(
-        layout::metal_training_set(core::Experiment::kDatasetSeed, 5));
-    core::ensure_trained(camo, train_clips, sim, opt,
-                         core::Experiment::weights_path(cfg, "metal"));
+    core::CamoEngine camo(core::Experiment::metal_camo_config());
+    core::ensure_trained(camo, "metal");
 
     const auto test = layout::metal_test_set(core::Experiment::kDatasetSeed);
     const auto layouts = core::fragment_metal_clips({test[9]});  // M10

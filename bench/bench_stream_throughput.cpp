@@ -18,7 +18,6 @@
 #include "core/experiment.hpp"
 #include "layout/shard.hpp"
 #include "litho/simulator.hpp"
-#include "opc/rule_engine.hpp"
 #include "opc/sraf.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/thread_pool.hpp"
@@ -81,12 +80,7 @@ int main(int argc, char** argv) {
     // the one-time kernel build.
     { litho::LithoSim warmup(litho_cfg); }
 
-    const runtime::ClipOptimizer rule = [](const geo::SegmentedLayout& layout,
-                                           litho::LithoSim& sim, const opc::OpcOptions& o,
-                                           std::uint64_t) {
-        opc::RuleEngine engine;
-        return engine.optimize(layout, sim, o);
-    };
+    const runtime::ClipOptimizer rule = runtime::engine_optimizer("rule");
 
     runtime::BatchOptions base_opt;
     base_opt.seed = core::Experiment::kDatasetSeed;

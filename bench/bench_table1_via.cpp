@@ -27,18 +27,10 @@ int main() {
     opc::OneShotEngine damo_proxy;
     opc::RuleEngine calibre_proxy;
 
-    const auto train_clips =
-        core::fragment_via_clips(layout::via_training_set(core::Experiment::kDatasetSeed));
-
-    const core::CamoConfig rl_cfg = core::Experiment::via_rlopc_config();
-    core::CamoEngine rlopc(rl_cfg);
-    core::ensure_trained(rlopc, train_clips, sim, opt,
-                         core::Experiment::weights_path(rl_cfg, "via"));
-
-    const core::CamoConfig camo_cfg = core::Experiment::via_camo_config();
-    core::CamoEngine camo(camo_cfg);
-    core::ensure_trained(camo, train_clips, sim, opt,
-                         core::Experiment::weights_path(camo_cfg, "via"));
+    core::CamoEngine rlopc(core::Experiment::via_rlopc_config());
+    core::ensure_trained(rlopc, "via");
+    core::CamoEngine camo(core::Experiment::via_camo_config());
+    core::ensure_trained(camo, "via");
 
     const auto test = layout::via_test_set(core::Experiment::kDatasetSeed);
     const auto layouts = core::fragment_via_clips(test);

@@ -21,18 +21,10 @@ int main() {
 
     opc::RuleEngine calibre_proxy;
 
-    const auto train_clips = core::fragment_metal_clips(
-        layout::metal_training_set(core::Experiment::kDatasetSeed, 5));
-
-    const core::CamoConfig rl_cfg = core::Experiment::metal_rlopc_config();
-    core::CamoEngine rlopc(rl_cfg);
-    core::ensure_trained(rlopc, train_clips, sim, opt,
-                         core::Experiment::weights_path(rl_cfg, "metal"));
-
-    const core::CamoConfig camo_cfg = core::Experiment::metal_camo_config();
-    core::CamoEngine camo(camo_cfg);
-    core::ensure_trained(camo, train_clips, sim, opt,
-                         core::Experiment::weights_path(camo_cfg, "metal"));
+    core::CamoEngine rlopc(core::Experiment::metal_rlopc_config());
+    core::ensure_trained(rlopc, "metal");
+    core::CamoEngine camo(core::Experiment::metal_camo_config());
+    core::ensure_trained(camo, "metal");
 
     const auto test = layout::metal_test_set(core::Experiment::kDatasetSeed);
     const auto layouts = core::fragment_metal_clips(test);

@@ -20,12 +20,8 @@ int main() {
     const auto opt = core::Experiment::via_options();
 
     // Train or load the CAMO policy.
-    const core::CamoConfig cfg = core::Experiment::via_camo_config();
-    core::CamoEngine camo(cfg);
-    const auto train_clips =
-        core::fragment_via_clips(layout::via_training_set(core::Experiment::kDatasetSeed));
-    core::ensure_trained(camo, train_clips, sim, opt,
-                         core::Experiment::weights_path(cfg, "via"));
+    core::CamoEngine camo(core::Experiment::via_camo_config());
+    core::ensure_trained(camo, "via");
 
     // Optimize one unseen test clip.
     const auto clips = layout::via_test_set(core::Experiment::kDatasetSeed);

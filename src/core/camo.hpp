@@ -66,7 +66,10 @@ struct CamoConfig {
     /// (clip, bias) collection job and each minibatch sample is computed
     /// independently on a per-worker simulator / policy replica and merged
     /// in canonical order (nn::reduce_in_order) — so this is a throughput
-    /// knob only and deliberately not part of the weight-cache key.
+    /// knob only and deliberately not part of the weight-cache key. At the
+    /// default phase1_batch = 1 every phase-1 step has one sample and runs
+    /// serially: the workers then parallelize teacher collection and the
+    /// phase-2 waves only.
     int train_workers = 1;
 
     /// Phase-1 minibatch size: samples whose gradients are accumulated

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 
 #include "common/file_io.hpp"
 #include "common/logging.hpp"
@@ -196,6 +197,22 @@ bool ensure_trained(CamoEngine& engine, const std::vector<geo::SegmentedLayout>&
         engine.save_weights(cache_path);
     }
     return false;
+}
+
+bool ensure_trained(CamoEngine& engine, const std::string& layer, rl::RewardMode objective) {
+    const bool via = layer == "via";
+    if (!via && layer != "metal") {
+        throw std::invalid_argument("ensure_trained: unknown layer '" + layer +
+                                    "' (known: via, metal)");
+    }
+    opc::OpcOptions opt = via ? Experiment::via_options() : Experiment::metal_options();
+    opt.objective = objective;
+    const std::vector<geo::SegmentedLayout> clips =
+        via ? fragment_via_clips(layout::via_training_set(Experiment::kDatasetSeed))
+            : fragment_metal_clips(layout::metal_training_set(Experiment::kDatasetSeed, 5));
+    litho::LithoSim sim(Experiment::litho_config());
+    return ensure_trained(engine, clips, sim, opt,
+                          Experiment::weights_path(engine.config(), layer, objective));
 }
 
 }  // namespace camo::core

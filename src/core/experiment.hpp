@@ -68,4 +68,16 @@ bool ensure_trained(CamoEngine& engine, const std::vector<geo::SegmentedLayout>&
                     litho::LithoSim& sim, const opc::OpcOptions& opt,
                     const std::string& cache_path);
 
+/// The paper-trained policy of a layer ("via" or "metal") for `objective`:
+/// loads Experiment::weights_path(engine.config(), layer, objective) if it
+/// exists, otherwise trains `engine` on that layer's paper training set
+/// (via_training_set(kDatasetSeed) or metal_training_set(kDatasetSeed, 5),
+/// fragmented) under via_options() / metal_options() with only `objective`
+/// set, and stores the weights there. No per-run protocol override reaches
+/// training, so the cache key names everything the weights were trained
+/// under. Throws std::invalid_argument on another layer. Returns true when
+/// the weights came from the cache.
+bool ensure_trained(CamoEngine& engine, const std::string& layer,
+                    rl::RewardMode objective = rl::RewardMode::kNominal);
+
 }  // namespace camo::core

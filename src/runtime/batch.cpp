@@ -10,6 +10,7 @@
 #include "litho/kernel_registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "opc/one_shot.hpp"
 #include "runtime/stream_queue.hpp"
 
 namespace camo::runtime {
@@ -64,7 +65,65 @@ obs::MetricId inflight_gauge() {
     return id;
 }
 
+constexpr const char* kKnownEngines = "rule, oneshot, camo, rlopc, ilt";
+
+ClipOptimizer rule_optimizer(const opc::RuleEngineOptions& engine_opt) {
+    return [engine_opt](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
+                        const opc::OpcOptions& opt, std::uint64_t /*job_seed*/) {
+        opc::RuleEngine engine(engine_opt);
+        return engine.optimize(layout, sim, opt);
+    };
+}
+
 }  // namespace
+
+bool learned_engine(const std::string& engine) {
+    return engine == "camo" || engine == "rlopc";
+}
+
+ClipOptimizer engine_optimizer(const std::string& engine, const core::CamoEngine* policy,
+                               int ilt_iterations) {
+    if (engine == "rule") return rule_optimizer({});
+    if (engine == "oneshot") {
+        return [](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
+                  const opc::OpcOptions& opt, std::uint64_t /*job_seed*/) {
+            opc::OneShotEngine one_shot;
+            return one_shot.optimize(layout, sim, opt);
+        };
+    }
+    if (learned_engine(engine)) {
+        if (policy == nullptr) {
+            throw std::invalid_argument("engine '" + engine + "' needs a trained policy (known: " +
+                                        kKnownEngines + ")");
+        }
+        return [policy](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
+                        const opc::OpcOptions& opt, std::uint64_t /*job_seed*/) {
+            return policy->infer(layout, sim, opt);
+        };
+    }
+    if (engine == "ilt") {
+        return [ilt_iterations](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
+                                const opc::OpcOptions& opt, std::uint64_t /*job_seed*/) {
+            opc::IltOptions io;
+            io.iterations = ilt_iterations;
+            io.objective = opt.objective;
+            io.window = opt.window;
+            io.corner_weights = opt.corner_weights;
+            io.evaluate_window = true;
+            const opc::IltResult ir = opc::IltEngine(io).optimize(layout, sim);
+            opc::EngineResult res;
+            res.final_metrics.sum_abs_epe = ir.sum_abs_epe;
+            res.final_metrics.pvband_nm2 =
+                ir.final_window ? ir.final_window->pv_band_exact_nm2 : 0.0;
+            res.iterations = ilt_iterations;
+            res.runtime_s = ir.runtime_s;
+            res.final_window = ir.final_window;
+            return res;
+        };
+    }
+    throw std::invalid_argument("unknown engine '" + engine + "' (known: " + kKnownEngines +
+                                ")");
+}
 
 std::string BatchResult::summary() const {
     char buf[448];
@@ -289,29 +348,13 @@ BatchResult BatchScheduler::run(const std::vector<geo::SegmentedLayout>& clips,
 BatchResult BatchScheduler::run_rule(const std::vector<geo::SegmentedLayout>& clips,
                                      const opc::RuleEngineOptions& engine_opt,
                                      const std::vector<std::string>& names) {
-    return run(
-        clips,
-        [engine_opt](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
-                     const opc::OpcOptions& opt, std::uint64_t /*job_seed*/) {
-            opc::RuleEngine engine(engine_opt);
-            return engine.optimize(layout, sim, opt);
-        },
-        names);
+    return run(clips, rule_optimizer(engine_opt), names);
 }
 
 BatchResult BatchScheduler::run_camo(const std::vector<geo::SegmentedLayout>& clips,
                                      const core::CamoEngine& engine,
                                      const std::vector<std::string>& names) {
-    const bool stochastic = opt_.stochastic;
-    return run(
-        clips,
-        [&engine, stochastic](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
-                              const opc::OpcOptions& opt, std::uint64_t job_seed) {
-            if (!stochastic) return engine.infer(layout, sim, opt);
-            Rng job_rng(job_seed);
-            return engine.infer(layout, sim, opt, &job_rng);
-        },
-        names);
+    return run(clips, engine_optimizer("camo", &engine), names);
 }
 
 }  // namespace camo::runtime

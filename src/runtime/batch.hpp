@@ -15,6 +15,11 @@
 // CamoEngine snapshot: CamoEngine::infer() is const and thread-safe, so N
 // workers infer concurrently without copying or retraining the policy.
 //
+// Every caller that maps an engine name to a per-clip run (the camo_cli
+// modes and the scenario comparer) goes through one engine table,
+// engine_optimizer(); run_rule() and run_camo() are thin wrappers of run()
+// over its rule and camo entries.
+//
 // Determinism contract: a job's result depends only on (its layout, the
 // batch seed, its clip index) — per-job seeds come from common/rng.hpp
 // splitmix, never from shared mutable engine state — so per-clip results
@@ -37,6 +42,7 @@
 #include "litho/process_window.hpp"
 #include "litho/simulator.hpp"
 #include "opc/engine.hpp"
+#include "opc/ilt.hpp"
 #include "opc/rule_engine.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -45,7 +51,6 @@ namespace camo::runtime {
 struct BatchOptions {
     int threads = 0;             ///< worker count; <= 0 selects all hardware threads
     std::uint64_t seed = 42;     ///< batch seed; job i runs with derive_seed(seed, i)
-    bool stochastic = false;     ///< CAMO path: sample actions from the per-job Rng
     opc::OpcOptions opc;         ///< per-clip OPC protocol (iterations, exits, bias)
 
     /// Window mode: after OPC, evaluate each clip's final mask at every
@@ -140,6 +145,24 @@ using ClipOptimizer = std::function<opc::EngineResult(
     const geo::SegmentedLayout& layout, litho::LithoSim& sim, const opc::OpcOptions& opt,
     std::uint64_t job_seed)>;
 
+/// The engine table: the per-clip optimizer for an engine name.
+///   rule         opc::RuleEngine (the Calibre proxy), one instance per job
+///   oneshot      opc::OneShotEngine (the DAMO proxy), one instance per job
+///   camo, rlopc  `policy`->infer(): one shared read-only trained snapshot,
+///                argmax actions (the job seed is unused)
+///   ilt          opc::IltEngine for `ilt_iterations` gradient steps on the
+///                clip's objective and window; the result reports the exact
+///                PV band of that window and `ilt_iterations` iterations
+/// `policy` must outlive the returned optimizer. Throws
+/// std::invalid_argument, naming the known engines, on an unknown name or a
+/// learned name without a policy.
+ClipOptimizer engine_optimizer(const std::string& engine,
+                               const core::CamoEngine* policy = nullptr,
+                               int ilt_iterations = opc::IltOptions{}.iterations);
+
+/// True for the engine names whose optimizer runs a trained policy.
+bool learned_engine(const std::string& engine);
+
 /// Streaming consumer: receives each ClipResult as soon as its worker
 /// finishes (completion order, not clip order — ClipResult::index says which
 /// clip it is). Runs on the thread that called run_streaming, never
@@ -197,12 +220,12 @@ public:
     BatchResult run(const std::vector<geo::SegmentedLayout>& clips,
                     const ClipOptimizer& optimize, const std::vector<std::string>& names = {});
 
-    /// Rule-engine batch (one engine instance per job; stateless and cheap).
+    /// run() over the rule engine with `engine_opt` (one instance per job).
     BatchResult run_rule(const std::vector<geo::SegmentedLayout>& clips,
                          const opc::RuleEngineOptions& engine_opt = {},
                          const std::vector<std::string>& names = {});
 
-    /// CAMO batch over one shared, read-only trained engine snapshot.
+    /// run() over engine_optimizer("camo", &engine).
     BatchResult run_camo(const std::vector<geo::SegmentedLayout>& clips,
                          const core::CamoEngine& engine,
                          const std::vector<std::string>& names = {});

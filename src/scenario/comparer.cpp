@@ -13,9 +13,6 @@
 #include "layout/metal_gen.hpp"
 #include "layout/via_gen.hpp"
 #include "litho/simulator.hpp"
-#include "opc/ilt.hpp"
-#include "opc/one_shot.hpp"
-#include "opc/rule_engine.hpp"
 #include "runtime/batch.hpp"
 
 namespace camo::scenario {
@@ -331,54 +328,11 @@ CompareResult PolicyComparer::run(int threads_override) {
 
             std::vector<CellResult> group;
             for (const std::string& engine : opt_.engines) {
-                runtime::BatchResult br;
-                if (engine == "rule") {
-                    br = sched.run_rule(layouts, {}, clip_names);
-                } else if (engine == "oneshot") {
-                    br = sched.run(
-                        layouts,
-                        [](const geo::SegmentedLayout& l, litho::LithoSim& sim,
-                           const opc::OpcOptions& opt, std::uint64_t) {
-                            opc::OneShotEngine e;
-                            return e.optimize(l, sim, opt);
-                        },
-                        clip_names);
-                } else if (engine == "camo" || engine == "rlopc") {
-                    const core::CamoEngine& eng = trained_engine(engine, sc.style);
-                    br = sched.run(
-                        layouts,
-                        [&eng](const geo::SegmentedLayout& l, litho::LithoSim& sim,
-                               const opc::OpcOptions& opt, std::uint64_t) {
-                            return eng.infer(l, sim, opt);
-                        },
-                        clip_names);
-                } else if (engine == "ilt") {
-                    const int ilt_iters = opt_.ilt_iterations;
-                    br = sched.run(
-                        layouts,
-                        [ilt_iters](const geo::SegmentedLayout& l, litho::LithoSim& sim,
-                                    const opc::OpcOptions& opt, std::uint64_t) {
-                            opc::IltOptions io;
-                            io.iterations = ilt_iters;
-                            io.objective = opt.objective;
-                            io.window = opt.window;
-                            io.corner_weights = opt.corner_weights;
-                            io.evaluate_window = true;
-                            const opc::IltResult ir = opc::IltEngine(io).optimize(l, sim);
-                            opc::EngineResult res;
-                            res.final_metrics.sum_abs_epe = ir.sum_abs_epe;
-                            res.final_metrics.pvband_nm2 =
-                                ir.final_window ? ir.final_window->pv_band_exact_nm2 : 0.0;
-                            res.iterations = ilt_iters;
-                            res.runtime_s = ir.runtime_s;
-                            res.final_window = ir.final_window;
-                            return res;
-                        },
-                        clip_names);
-                } else {
-                    throw std::invalid_argument("unknown engine '" + engine +
-                                                "' (known: rule, oneshot, camo, rlopc, ilt)");
-                }
+                const core::CamoEngine* policy =
+                    runtime::learned_engine(engine) ? &trained_engine(engine, sc.style) : nullptr;
+                const runtime::BatchResult br = sched.run(
+                    layouts, runtime::engine_optimizer(engine, policy, opt_.ilt_iterations),
+                    clip_names);
                 group.push_back(reduce_cell(sname, engine, mode, br));
             }
 

@@ -7,8 +7,10 @@
 // mode), and never silently truncates an out-of-range value. Well-formed
 // fast-path invocations still exit 0.
 //
-// Each case only has to reach argument parsing, so the whole matrix runs in
-// well under a second — no training, litho or GDS work is triggered. Every
+// Each bad-argument case only has to reach argument parsing, so that matrix
+// runs in well under a second — no training, litho or GDS work is
+// triggered. The happy-path cases run each engine-table mode once on a
+// one-cell chip with one iteration where the mode allows it. Every
 // subcommand parses through one flag table (common/parse.hpp), exercised
 // directly by the FlagTable cases at the end.
 #include <gtest/gtest.h>
@@ -216,6 +218,20 @@ TEST(CliRobustness, PretrainFlags) {
 TEST(CliRobustness, ChipgenHappyPathStillWorks) {
     const std::string out = testing::TempDir() + "cli_robustness_chip.gds";
     EXPECT_EQ(run_cli("chipgen --out " + out + " --cols 1 --rows 1"), 0);
+    std::remove(out.c_str());
+}
+
+TEST(CliRobustness, EngineModesRunOnAOneCellChip) {
+    const std::string chip = testing::TempDir() + "cli_robustness_cell.gds";
+    const std::string out = testing::TempDir() + "cli_robustness_mask.gds";
+    ASSERT_EQ(run_cli("chipgen --out " + chip + " --cols 1 --rows 1"), 0);
+    const std::string single = "--in " + chip + " --out " + out + " --quiet ";
+    EXPECT_EQ(run_cli(single + "--engine rule"), 0);
+    EXPECT_EQ(run_cli(single + "--engine oneshot --iterations 1"), 0);
+    EXPECT_EQ(run_cli("shard --in " + chip + " --engine rule --iterations 1 --threads 2 --quiet"),
+              0);
+    EXPECT_EQ(run_cli("serve --requests 1 --clips 1 --iterations 1 --threads 2 --quiet"), 0);
+    std::remove(chip.c_str());
     std::remove(out.c_str());
 }
 

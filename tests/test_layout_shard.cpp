@@ -16,7 +16,6 @@
 #include "layout/shard.hpp"
 #include "layout/via_gen.hpp"
 #include "litho/config.hpp"
-#include "opc/rule_engine.hpp"
 #include "opc/sraf.hpp"
 #include "runtime/batch.hpp"
 #include "scenario/scenario.hpp"
@@ -285,12 +284,7 @@ TEST(Shard, IsolatedClustersMatchIndependentClipsBitwise) {
         runtime::BatchScheduler sched(litho, topt);
         std::vector<std::vector<int>> tile_offsets(tile_layouts.size());
         const runtime::StreamStats stats = sched.run_streaming(
-            tile_layouts,
-            [](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
-               const opc::OpcOptions& o, std::uint64_t) {
-                opc::RuleEngine engine;
-                return engine.optimize(layout, sim, o);
-            },
+            tile_layouts, runtime::engine_optimizer("rule"),
             [&tile_offsets](runtime::ClipResult&& r) {
                 ASSERT_TRUE(r.error.empty()) << r.error;
                 tile_offsets[static_cast<std::size_t>(r.index)] = std::move(r.offsets);

@@ -12,6 +12,9 @@
 #include "core/experiment.hpp"
 #include "layout/via_gen.hpp"
 #include "litho/simulator.hpp"
+#include "opc/ilt.hpp"
+#include "opc/one_shot.hpp"
+#include "opc/rule_engine.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/stream_queue.hpp"
 
@@ -105,11 +108,11 @@ TEST(BatchScheduler, FailedJobIsIsolated) {
 
     BatchScheduler scheduler(test_litho_config(), opt);
     const BatchResult res = scheduler.run(
-        clips, [poison](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
-                        const opc::OpcOptions& o, std::uint64_t job_seed) {
+        clips, [poison, rule = engine_optimizer("rule")](
+                   const geo::SegmentedLayout& layout, litho::LithoSim& sim,
+                   const opc::OpcOptions& o, std::uint64_t job_seed) {
             if (job_seed == poison) throw std::runtime_error("injected failure");
-            opc::RuleEngine engine;
-            return engine.optimize(layout, sim, o);
+            return rule(layout, sim, o, job_seed);
         });
 
     ASSERT_EQ(res.clips.size(), 3U);
@@ -154,20 +157,85 @@ TEST(BatchScheduler, StochasticCamoUsesPerJobSeeds) {
     core::CamoConfig cfg;
     const core::CamoEngine engine(cfg);
 
-    BatchOptions opt = batch_options(1);
-    opt.stochastic = true;
-    BatchOptions opt4 = batch_options(4);
-    opt4.stochastic = true;
+    const ClipOptimizer sampled = [&engine](const geo::SegmentedLayout& layout,
+                                            litho::LithoSim& sim, const opc::OpcOptions& o,
+                                            std::uint64_t job_seed) {
+        Rng rng(job_seed);
+        return engine.infer(layout, sim, o, &rng);
+    };
 
-    BatchScheduler one(test_litho_config(), opt);
-    BatchScheduler four(test_litho_config(), opt4);
-    const BatchResult r1 = one.run_camo(clips, engine);
-    const BatchResult r4 = four.run_camo(clips, engine);
+    BatchScheduler one(test_litho_config(), batch_options(1));
+    BatchScheduler four(test_litho_config(), batch_options(4));
+    const BatchResult r1 = one.run(clips, sampled);
+    const BatchResult r4 = four.run(clips, sampled);
 
     // Sampled actions come from per-job splitmix streams, never from shared
     // engine state: identical at any thread count.
     for (std::size_t i = 0; i < clips.size(); ++i) {
         EXPECT_EQ(r1.clips[i].offsets, r4.clips[i].offsets) << "clip " << i;
+    }
+}
+
+// ------------------------------------------------------------ engine table
+
+TEST(EngineTable, EveryEntryMatchesTheDirectEngineCall) {
+    const auto clips = test_clips(2);
+    const core::CamoEngine camo{core::CamoConfig{}};  // untrained weights are fine
+    const core::CamoEngine rlopc{core::make_rlopc_config(core::CamoConfig{})};
+    BatchScheduler sched(test_litho_config(), batch_options(2));
+    const opc::OpcOptions& opt = sched.options().opc;
+
+    // What a table entry must reproduce: the engine run directly on a
+    // private simulator.
+    const auto direct = [&](const std::string& name, const geo::SegmentedLayout& layout) {
+        litho::LithoSim sim(test_litho_config());
+        if (name == "ilt") {
+            opc::IltOptions io;
+            io.iterations = 1;
+            io.evaluate_window = true;
+            const opc::IltResult ir = opc::IltEngine(io).optimize(layout, sim);
+            opc::EngineResult res;
+            res.final_metrics.sum_abs_epe = ir.sum_abs_epe;
+            res.final_metrics.pvband_nm2 = ir.final_window.value().pv_band_exact_nm2;
+            res.iterations = 1;
+            res.final_window = ir.final_window;
+            return res;
+        }
+        if (name == "camo") return camo.infer(layout, sim, opt);
+        if (name == "rlopc") return rlopc.infer(layout, sim, opt);
+        if (name == "oneshot") return opc::OneShotEngine().optimize(layout, sim, opt);
+        return opc::RuleEngine().optimize(layout, sim, opt);
+    };
+
+    for (const std::string name : {"rule", "oneshot", "camo", "rlopc", "ilt"}) {
+        const core::CamoEngine* policy =
+            name == "camo" ? &camo : (name == "rlopc" ? &rlopc : nullptr);
+        EXPECT_EQ(learned_engine(name), policy != nullptr) << name;
+        const BatchResult res = sched.run(clips, engine_optimizer(name, policy, 1));
+        ASSERT_EQ(res.failed, 0) << name;
+        for (std::size_t i = 0; i < clips.size(); ++i) {
+            const opc::EngineResult want = direct(name, clips[i]);
+            const ClipResult& got = res.clips[i];
+            EXPECT_EQ(got.offsets, want.final_offsets) << name << " clip " << i;
+            EXPECT_EQ(got.iterations, want.iterations) << name << " clip " << i;
+            EXPECT_EQ(got.final_epe, want.final_metrics.sum_abs_epe) << name << " clip " << i;
+            EXPECT_EQ(got.pvband_nm2, want.final_metrics.pvband_nm2) << name << " clip " << i;
+            EXPECT_EQ(got.window.has_value(), want.final_window.has_value())
+                << name << " clip " << i;
+        }
+    }
+}
+
+TEST(EngineTable, UnknownNameAndMissingPolicyThrow) {
+    EXPECT_THROW((void)engine_optimizer("bogus"), std::invalid_argument);
+    EXPECT_THROW((void)engine_optimizer("camo"), std::invalid_argument);
+    EXPECT_THROW((void)engine_optimizer("rlopc", nullptr), std::invalid_argument);
+    try {
+        (void)engine_optimizer("bogus");
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("rule, oneshot, camo, rlopc, ilt"),
+                  std::string::npos)
+            << e.what();
     }
 }
 
@@ -365,11 +433,7 @@ TEST(BatchScheduler, StreamingMatchesBarrierBitwise) {
     const BatchResult barrier = barrier_sched.run_rule(clips);
     ASSERT_EQ(barrier.failed, 0);
 
-    const ClipOptimizer rule = [](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
-                                  const opc::OpcOptions& o, std::uint64_t) {
-        opc::RuleEngine engine;
-        return engine.optimize(layout, sim, o);
-    };
+    const ClipOptimizer rule = engine_optimizer("rule");
 
     for (const int threads : {1, 2, 8}) {
         for (const int capacity : {1, 2, 64}) {
@@ -405,14 +469,8 @@ TEST(BatchScheduler, StreamingMatchesBarrierBitwise) {
 TEST(BatchScheduler, StreamingEmptyClipVector) {
     BatchScheduler sched(test_litho_config(), batch_options(2));
     int calls = 0;
-    const StreamStats stats = sched.run_streaming(
-        {},
-        [](const geo::SegmentedLayout& layout, litho::LithoSim& sim, const opc::OpcOptions& o,
-           std::uint64_t) {
-            opc::RuleEngine engine;
-            return engine.optimize(layout, sim, o);
-        },
-        [&calls](ClipResult&&) { ++calls; });
+    const StreamStats stats =
+        sched.run_streaming({}, engine_optimizer("rule"), [&calls](ClipResult&&) { ++calls; });
     EXPECT_EQ(calls, 0);  // sink never invoked
     EXPECT_EQ(stats.delivered, 0);
     EXPECT_EQ(stats.failed, 0);
@@ -422,11 +480,7 @@ TEST(BatchScheduler, StreamingEmptyClipVector) {
 TEST(BatchScheduler, StreamingZeroCapacityQueueRejected) {
     const auto clips = test_clips(1);
     BatchScheduler sched(test_litho_config(), batch_options(1));
-    const ClipOptimizer rule = [](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
-                                  const opc::OpcOptions& o, std::uint64_t) {
-        opc::RuleEngine engine;
-        return engine.optimize(layout, sim, o);
-    };
+    const ClipOptimizer rule = engine_optimizer("rule");
     for (const int capacity : {0, -3}) {
         StreamOptions stream;
         stream.queue_capacity = capacity;
@@ -439,11 +493,7 @@ TEST(BatchScheduler, StreamingZeroCapacityQueueRejected) {
 TEST(BatchScheduler, StreamingThrowingSinkPropagatesAndUnwindsCleanly) {
     const auto clips = test_clips(6);
     BatchScheduler sched(test_litho_config(), batch_options(2));
-    const ClipOptimizer rule = [](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
-                                  const opc::OpcOptions& o, std::uint64_t) {
-        opc::RuleEngine engine;
-        return engine.optimize(layout, sim, o);
-    };
+    const ClipOptimizer rule = engine_optimizer("rule");
 
     // Tight queue so workers are actually blocked in push() when the sink
     // dies — the abort path must release them without deadlocking.
@@ -474,11 +524,11 @@ TEST(BatchScheduler, StreamingDeliversFailedJobsWithError) {
     std::vector<ClipResult> got(clips.size());
     const StreamStats stats = sched.run_streaming(
         clips,
-        [poison](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
-                 const opc::OpcOptions& o, std::uint64_t job_seed) {
+        [poison, rule = engine_optimizer("rule")](const geo::SegmentedLayout& layout,
+                                                  litho::LithoSim& sim, const opc::OpcOptions& o,
+                                                  std::uint64_t job_seed) {
             if (job_seed == poison) throw std::runtime_error("injected failure");
-            opc::RuleEngine engine;
-            return engine.optimize(layout, sim, o);
+            return rule(layout, sim, o, job_seed);
         },
         [&got](ClipResult&& r) { got[static_cast<std::size_t>(r.index)] = std::move(r); });
 

@@ -10,7 +10,6 @@
 #include "core/experiment.hpp"
 #include "layout/via_gen.hpp"
 #include "litho/simulator.hpp"
-#include "opc/rule_engine.hpp"
 #include "runtime/batch.hpp"
 #include "service/server.hpp"
 
@@ -45,14 +44,6 @@ ServerOptions server_options(int capacity, int threads = 2) {
     return opt;
 }
 
-runtime::ClipOptimizer rule_optimizer() {
-    return [](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
-              const opc::OpcOptions& o, std::uint64_t) {
-        opc::RuleEngine engine;
-        return engine.optimize(layout, sim, o);
-    };
-}
-
 ServeRequest make_request(const std::string& name, int priority,
                           std::vector<geo::SegmentedLayout> clips) {
     ServeRequest req;
@@ -83,7 +74,7 @@ TEST(OpcServer, AdmissionControlRejectsWithReason) {
     EXPECT_FALSE(server.submit(make_request("c", 5, clips)));
     EXPECT_EQ(server.pending(), 2);
 
-    const std::vector<RequestOutcome> outcomes = server.drain(rule_optimizer());
+    const std::vector<RequestOutcome> outcomes = server.drain(runtime::engine_optimizer("rule"));
     ASSERT_EQ(outcomes.size(), 4U);  // arrival order, rejected included
     EXPECT_EQ(outcomes[0].name, "empty");
     EXPECT_FALSE(outcomes[0].accepted);
@@ -107,7 +98,7 @@ TEST(OpcServer, DrainServesPriorityDescFifoWithinLevel) {
     ASSERT_TRUE(server.submit(make_request("high-2", 2, clips)));
     ASSERT_TRUE(server.submit(make_request("low-2", 0, clips)));
 
-    const std::vector<RequestOutcome> outcomes = server.drain(rule_optimizer());
+    const std::vector<RequestOutcome> outcomes = server.drain(runtime::engine_optimizer("rule"));
     ASSERT_EQ(outcomes.size(), 5U);
     // Outcomes are in arrival order; served_order reveals the schedule.
     EXPECT_EQ(outcomes[1].name, "high-1");
@@ -130,13 +121,13 @@ TEST(OpcServer, ServedClipsMatchDirectSchedulerRunBitwise) {
     const ServerOptions opt = server_options(4);
 
     runtime::BatchScheduler direct(test_litho_config(), opt.batch);
-    const runtime::BatchResult want = direct.run(clips, rule_optimizer());
+    const runtime::BatchResult want = direct.run(clips, runtime::engine_optimizer("rule"));
     ASSERT_EQ(want.failed, 0);
 
     OpcServer server(test_litho_config(), opt);
     ASSERT_TRUE(server.submit(make_request("decoy", 9, test_clips(2, 99))));
     ASSERT_TRUE(server.submit(make_request("probe", 0, clips)));
-    const std::vector<RequestOutcome> outcomes = server.drain(rule_optimizer());
+    const std::vector<RequestOutcome> outcomes = server.drain(runtime::engine_optimizer("rule"));
     ASSERT_EQ(outcomes.size(), 2U);
     const RequestOutcome& probe = outcomes[1];
     EXPECT_EQ(probe.name, "probe");
@@ -160,11 +151,11 @@ TEST(OpcServer, FailedClipIsContainedToItsRequest) {
     ASSERT_TRUE(server.submit(make_request("clean", 0, test_clips(1, 99))));
 
     const std::vector<RequestOutcome> outcomes = server.drain(
-        [poison](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
-                 const opc::OpcOptions& o, std::uint64_t job_seed) {
+        [poison, rule = runtime::engine_optimizer("rule")](
+            const geo::SegmentedLayout& layout, litho::LithoSim& sim, const opc::OpcOptions& o,
+            std::uint64_t job_seed) {
             if (job_seed == poison) throw std::runtime_error("injected failure");
-            opc::RuleEngine engine;
-            return engine.optimize(layout, sim, o);
+            return rule(layout, sim, o, job_seed);
         });
     ASSERT_EQ(outcomes.size(), 2U);
     EXPECT_EQ(outcomes[0].name, "poisoned");
@@ -186,7 +177,7 @@ TEST(OpcServer, DeadlineMissFlaggedButResultStillComputed) {
     loose.deadline_s = 3600.0;
     ASSERT_TRUE(server.submit(std::move(loose)));
 
-    const std::vector<RequestOutcome> outcomes = server.drain(rule_optimizer());
+    const std::vector<RequestOutcome> outcomes = server.drain(runtime::engine_optimizer("rule"));
     ASSERT_EQ(outcomes.size(), 2U);
     EXPECT_TRUE(outcomes[0].deadline_missed);
     EXPECT_EQ(outcomes[0].results.size(), 2U);  // soft deadline: still served
@@ -203,7 +194,8 @@ TEST(OpcServer, RepeatedSubmitDrainCyclesOnWarmCore) {
     std::vector<int> first_offsets;
     for (int cycle = 0; cycle < 3; ++cycle) {
         ASSERT_TRUE(server.submit(make_request("r" + std::to_string(cycle), 0, clips)));
-        const std::vector<RequestOutcome> outcomes = server.drain(rule_optimizer());
+        const std::vector<RequestOutcome> outcomes =
+            server.drain(runtime::engine_optimizer("rule"));
         ASSERT_EQ(outcomes.size(), 1U);
         ASSERT_EQ(outcomes[0].results.size(), 2U);
         EXPECT_EQ(outcomes[0].failed, 0);

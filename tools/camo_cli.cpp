@@ -34,6 +34,16 @@
 // value, or an absent required flag, printing the usage line generated from
 // its flag table (common/parse.hpp).
 //
+// Every mode that runs an engine by name (single-clip, batch/sweep, shard,
+// serve, compare) looks it up in one engine table,
+// runtime::engine_optimizer(): rule (Calibre proxy), oneshot (DAMO proxy),
+// camo and rlopc (a trained policy) and ilt. Each mode's --engine list is
+// the subset of the table it offers. Single-clip and batch/sweep serve the
+// paper-trained policy from the weight cache (core::ensure_trained keyed by
+// layer and reward mode: the paper training set and protocol, never this
+// run's --iterations or window); shard and serve train the comparer's quick
+// policy once per run.
+//
 // Single-clip mode reads target polygons from a GDSII file (layer 1 by
 // default), runs the selected OPC engine against the lithography simulator,
 // and writes a GDSII file with targets (layer 1), SRAFs (layer 2, via style
@@ -48,10 +58,12 @@
 //   --reward-mode M              nominal|worst|weighted: which corner(s) of
 //                                the process window the engine optimizes
 //                                [nominal]
-//   --train-workers N            data-parallel trainer width on a
-//                                cached-weights miss; <= 0 = all hardware
-//                                threads. Trained weights are bit-identical
-//                                at any value                [1]
+//   --train-workers N            trainer worker count on a cached-weights
+//                                miss; <= 0 = all hardware threads. At the
+//                                default phase-1 batch of 1 it parallelizes
+//                                teacher collection and the phase-2 waves,
+//                                not phase 1. Trained weights are
+//                                bit-identical at any value  [1]
 //   --window                     evaluate the final mask through the
 //                                standard process window and print the
 //                                worst-corner |EPE| / exact PV band
@@ -108,8 +120,6 @@
 #include "layout/shard.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
-#include "opc/one_shot.hpp"
-#include "opc/rule_engine.hpp"
 #include "opc/sraf.hpp"
 #include "rl/trajstore.hpp"
 #include "runtime/batch.hpp"
@@ -184,7 +194,7 @@ struct CliOptions {
     int layer = 1;
     int clip_nm = 2000;
     int iterations = -1;
-    int train_workers = 1;  // data-parallel trainer width; <= 0 = all threads
+    int train_workers = 1;  // trainer worker count; <= 0 = all threads
     rl::RewardMode reward_mode = rl::RewardMode::kNominal;
     bool window = false;
     ObsCliOptions obs;
@@ -196,13 +206,29 @@ struct BatchCliOptions {
     std::string engine = "rule";
     std::uint64_t seed = core::Experiment::kDatasetSeed;
     int iterations = -1;
-    int train_workers = 1;  // data-parallel trainer width; <= 0 = all threads
+    int train_workers = 1;  // trainer worker count; <= 0 = all threads
     rl::RewardMode reward_mode = rl::RewardMode::kNominal;
     ObsCliOptions obs;
     bool window = false;             // sweep mode / batch --window
     std::vector<double> doses;       // empty = standard window
     std::vector<double> focuses_nm;  // empty = standard window
 };
+
+/// The paper-trained policy of `style` for `objective` when `engine` is a
+/// learned one, else null. A cached-weights miss trains it at
+/// `train_workers` width, which is deliberately not part of the weight-cache
+/// key: the weights are bit-identical at any value.
+std::unique_ptr<core::CamoEngine> paper_policy(const std::string& engine,
+                                               const std::string& style,
+                                               rl::RewardMode objective, int train_workers) {
+    if (!runtime::learned_engine(engine)) return nullptr;
+    core::CamoConfig cfg = style == "via" ? core::Experiment::via_camo_config()
+                                          : core::Experiment::metal_camo_config();
+    cfg.train_workers = train_workers;
+    auto policy = std::make_unique<core::CamoEngine>(cfg);
+    core::ensure_trained(*policy, style, objective);
+    return policy;
+}
 
 int batch_main(int argc, char** argv, bool window) {
     BatchCliOptions cli;
@@ -259,23 +285,10 @@ int batch_main(int argc, char** argv, bool window) {
     }
 
     runtime::BatchScheduler scheduler(core::Experiment::litho_config(), opt);
-
-    runtime::BatchResult res;
-    if (cli.engine == "rule") {
-        res = scheduler.run_rule(clips, {}, names);
-    } else {
-        core::CamoConfig cfg = core::Experiment::via_camo_config();
-        // Trainer width on a cached-weights miss. Deliberately not part of
-        // the weight-cache key: results are bit-identical at any value.
-        cfg.train_workers = cli.train_workers;
-        core::CamoEngine engine(cfg);
-        litho::LithoSim train_sim(core::Experiment::litho_config());
-        const auto train = core::fragment_via_clips(
-            layout::via_training_set(core::Experiment::kDatasetSeed));
-        core::ensure_trained(engine, train, train_sim, opt.opc,
-                             core::Experiment::weights_path(cfg, "via", cli.reward_mode));
-        res = scheduler.run_camo(clips, engine, names);
-    }
+    const std::unique_ptr<core::CamoEngine> policy =
+        paper_policy(cli.engine, "via", cli.reward_mode, cli.train_workers);
+    const runtime::BatchResult res =
+        scheduler.run(clips, runtime::engine_optimizer(cli.engine, policy.get()), names);
 
     if (cli.window || cli.reward_mode != rl::RewardMode::kNominal) {
         const litho::WindowSpec& spec = cli.window ? scheduler.options().window_spec
@@ -462,26 +475,14 @@ opc::OpcOptions scenario_opc(scenario::Style style, int iterations) {
     return opt;
 }
 
-/// Per-clip optimizer for the streaming paths: a fresh RuleEngine per job,
-/// or one warm CamoEngine snapshot inferred concurrently.
-runtime::ClipOptimizer make_optimizer(const std::string& engine, scenario::Style style,
-                                      const litho::LithoConfig& litho,
-                                      const opc::OpcOptions& opt) {
-    if (engine == "rule") {
-        return [](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
-                  const opc::OpcOptions& o, std::uint64_t /*job_seed*/) {
-            opc::RuleEngine eng;
-            return eng.optimize(layout, sim, o);
-        };
-    }
-    // The comparer's quick imitation-only recipe, trained once up front and
-    // shared read-only across every tile and request of the run — the warm
-    // policy cache of the service.
-    const std::shared_ptr<core::CamoEngine> eng =
-        scenario::quick_trained_engine(style, false, 2, 4, litho, opt);
-    return [eng](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
-                 const opc::OpcOptions& o,
-                 std::uint64_t /*job_seed*/) { return eng->infer(layout, sim, o); };
+/// The comparer's quick imitation-only policy when `engine` is a learned
+/// one, else null: trained once up front and shared read-only across every
+/// tile and request of the run — the warm policy cache of the service.
+std::unique_ptr<core::CamoEngine> quick_policy(const std::string& engine,
+                                               const scenario::Scenario& sc,
+                                               const opc::OpcOptions& opt) {
+    if (!runtime::learned_engine(engine)) return nullptr;
+    return scenario::quick_trained_engine(sc.style, false, 2, 4, sc.litho, opt);
 }
 
 int chipgen_main(int argc, char** argv) {
@@ -594,8 +595,8 @@ int shard_main(int argc, char** argv) {
         }
 
         const opc::OpcOptions opt = scenario_opc(sc.style, cli.iterations);
-        const runtime::ClipOptimizer optimize =
-            make_optimizer(cli.engine, sc.style, sc.litho, opt);
+        const std::unique_ptr<core::CamoEngine> policy = quick_policy(cli.engine, sc, opt);
+        const runtime::ClipOptimizer optimize = runtime::engine_optimizer(cli.engine, policy.get());
         const std::vector<geo::SegmentedLayout> layouts = sharder.tile_layouts();
         const std::vector<std::string> names = sharder.tile_names();
         const geo::SegmentedLayout chip_layout = sharder.chip_layout();
@@ -751,9 +752,9 @@ int serve_main(int argc, char** argv) {
             server.submit(std::move(req));
         }
 
-        const runtime::ClipOptimizer optimize =
-            make_optimizer(cli.engine, sc.style, sc.litho, opt);
-        const std::vector<service::RequestOutcome> outcomes = server.drain(optimize);
+        const std::unique_ptr<core::CamoEngine> policy = quick_policy(cli.engine, sc, opt);
+        const std::vector<service::RequestOutcome> outcomes =
+            server.drain(runtime::engine_optimizer(cli.engine, policy.get()));
 
         int accepted = 0;
         int rejected = 0;
@@ -1093,30 +1094,10 @@ int main(int argc, char** argv) {
     if (cli.iterations > 0) opt.max_iterations = cli.iterations;
     opt.objective = cli.reward_mode;
 
-    // Select and run the engine.
-    opc::EngineResult res;
-    if (cli.engine == "rule") {
-        opc::RuleEngine engine;
-        res = engine.optimize(layout, sim, opt);
-    } else if (cli.engine == "oneshot") {
-        opc::OneShotEngine engine;
-        res = engine.optimize(layout, sim, opt);
-    } else {
-        core::CamoConfig cfg = via_style ? core::Experiment::via_camo_config()
-                                         : core::Experiment::metal_camo_config();
-        cfg.train_workers = cli.train_workers;
-        core::CamoEngine engine(cfg);
-        const std::string tag = via_style ? "via" : "metal";
-        const auto train =
-            via_style
-                ? core::fragment_via_clips(
-                      layout::via_training_set(core::Experiment::kDatasetSeed))
-                : core::fragment_metal_clips(
-                      layout::metal_training_set(core::Experiment::kDatasetSeed, 5));
-        core::ensure_trained(engine, train, sim, opt,
-                             core::Experiment::weights_path(cfg, tag, cli.reward_mode));
-        res = engine.optimize(layout, sim, opt);
-    }
+    const std::unique_ptr<core::CamoEngine> policy =
+        paper_policy(cli.engine, cli.style, cli.reward_mode, cli.train_workers);
+    const opc::EngineResult res =
+        runtime::engine_optimizer(cli.engine, policy.get())(layout, sim, opt, 0);
 
     std::printf("%d segments, %d iterations: sum|EPE| %.1f -> %.1f nm, PVB %.0f nm^2, %.2f s\n",
                 layout.num_segments(), res.iterations, res.epe_history.front(),

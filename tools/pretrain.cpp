@@ -5,12 +5,13 @@
 //   pretrain [--train-workers N] [--log-level quiet|info|debug]
 //            [--metrics-json PATH] [--trace PATH]
 //
-// --train-workers selects the data-parallel training runtime width
-// (<= 0 = all hardware threads). The trained weights are bit-identical at
-// any value — the flag only changes wall time — which is why the cache path
-// does not encode it. --metrics-json / --trace enable the telemetry layer
-// (observational only: weights stay bit-identical) and write the registry
-// snapshot / Chrome trace on exit.
+// --train-workers selects the training runtime's worker count (<= 0 = all
+// hardware threads); at the default phase-1 batch of 1 it parallelizes
+// teacher collection and the phase-2 waves, not phase 1. The trained
+// weights are bit-identical at any value — the flag only changes wall
+// time — which is why the cache path does not encode it. --metrics-json /
+// --trace enable the telemetry layer (observational only: weights stay
+// bit-identical) and write the registry snapshot / Chrome trace on exit.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -26,16 +27,14 @@ namespace {
 
 using namespace camo;
 
-void train_one(core::CamoConfig cfg, int train_workers, const std::string& tag,
-               const std::vector<geo::SegmentedLayout>& clips, litho::LithoSim& sim,
-               const opc::OpcOptions& opt) {
+void train_one(core::CamoConfig cfg, int train_workers, const std::string& layer) {
     Timer timer;
     cfg.train_workers = train_workers;
     core::CamoEngine engine(cfg);
-    const std::string path = core::Experiment::weights_path(cfg, tag);
-    const bool cached = core::ensure_trained(engine, clips, sim, opt, path);
-    std::printf("%-12s %-6s %-7s %6.1fs -> %s\n", cfg.name.c_str(), tag.c_str(),
-                cached ? "cached" : "trained", timer.seconds(), path.c_str());
+    const bool cached = core::ensure_trained(engine, layer);
+    std::printf("%-12s %-6s %-7s %6.1fs -> %s\n", cfg.name.c_str(), layer.c_str(),
+                cached ? "cached" : "trained", timer.seconds(),
+                core::Experiment::weights_path(cfg, layer).c_str());
 }
 
 }  // namespace
@@ -60,21 +59,10 @@ int main(int argc, char** argv) {
     set_log_level(level);
     if (!metrics_json.empty()) obs::set_metrics_enabled(true);
     if (!trace.empty()) obs::set_tracing_enabled(true);
-    litho::LithoSim sim(core::Experiment::litho_config());
-
-    const auto via_train = core::fragment_via_clips(
-        layout::via_training_set(core::Experiment::kDatasetSeed));
-    const auto metal_train = core::fragment_metal_clips(
-        layout::metal_training_set(core::Experiment::kDatasetSeed, 5));
-
-    train_one(core::Experiment::via_camo_config(), train_workers, "via", via_train, sim,
-              core::Experiment::via_options());
-    train_one(core::Experiment::via_rlopc_config(), train_workers, "via", via_train, sim,
-              core::Experiment::via_options());
-    train_one(core::Experiment::metal_camo_config(), train_workers, "metal", metal_train, sim,
-              core::Experiment::metal_options());
-    train_one(core::Experiment::metal_rlopc_config(), train_workers, "metal", metal_train, sim,
-              core::Experiment::metal_options());
+    train_one(core::Experiment::via_camo_config(), train_workers, "via");
+    train_one(core::Experiment::via_rlopc_config(), train_workers, "via");
+    train_one(core::Experiment::metal_camo_config(), train_workers, "metal");
+    train_one(core::Experiment::metal_rlopc_config(), train_workers, "metal");
 
     if (!metrics_json.empty()) obs::write_metrics_json(metrics_json);
     if (!trace.empty()) obs::write_trace_json(trace);
